@@ -29,8 +29,10 @@
 #                     (d2net-shard: sharded sweep manifests byte-equal
 #                     the serial engine's, through the serial harness at
 #                     two shard counts and the parallel harness at two
-#                     thread budgets) and checks the written manifest
-#                     carries a "sharding" section.
+#                     thread budgets; one NN exchange has equal stats at
+#                     1, 2 and 3 shards) and checks the written manifest
+#                     carries a "sharding" section and an "exchange"
+#                     entry.
 #   --serve-smoke     additionally runs the batch sweep service gate
 #                     (d2net-serve): spools two requests, SIGTERMs the
 #                     server mid-sweep, restarts it with --once, and
@@ -157,6 +159,7 @@ if [[ "$SHARD_SMOKE" == "1" ]]; then
   grep -q '"sharding"' SHARD_smoke.json
   grep -q '"shards":2' SHARD_smoke.json
   grep -q '"thread_budget":6' SHARD_smoke.json
+  grep -q '"exchange":{' SHARD_smoke.json
 fi
 
 if [[ "$SERVE_SMOKE" == "1" ]]; then

@@ -24,8 +24,8 @@ pub use cdg::{
 };
 pub use path::{RoutePath, MAX_PATH_ROUTERS};
 pub use policy::{
-    vc_for_hop, Algorithm, DecisionCandidate, DecisionRecord, DecisionVerdict, IntermediateSet,
-    OccupancyView, RouteChoice, RoutePolicy, VcScheme, ZeroOccupancy,
+    vc_for_hop, vc_for_phase, Algorithm, DecisionCandidate, DecisionRecord, DecisionVerdict,
+    IntermediateSet, OccupancyView, RouteChoice, RoutePolicy, VcScheme, ZeroOccupancy,
 };
 pub use tables::{MinimalTables, UNREACHABLE};
 

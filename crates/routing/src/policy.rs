@@ -73,10 +73,18 @@ pub enum VcScheme {
 /// consistent labels.
 #[inline]
 pub fn vc_for_hop(scheme: VcScheme, choice: &RouteChoice, hop: usize) -> u8 {
+    vc_for_phase(scheme, choice.indirect, choice.phase_hops, hop)
+}
+
+/// [`vc_for_hop`] from a route's phase label alone (`indirect`,
+/// `phase_hops`), for simulators that store routes in their own packed
+/// form rather than as a [`RouteChoice`].
+#[inline]
+pub fn vc_for_phase(scheme: VcScheme, indirect: bool, phase_hops: u8, hop: usize) -> u8 {
     match scheme {
         VcScheme::HopIndex => hop as u8,
         VcScheme::PhaseBased => {
-            if choice.indirect && hop >= choice.phase_hops as usize {
+            if indirect && hop >= phase_hops as usize {
                 1
             } else {
                 0

@@ -68,7 +68,11 @@ pub enum EventQueueKind {
 /// defense against runs that stall without making event progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunBudget {
-    /// Maximum events popped per run (`0` = unlimited). Deterministic.
+    /// Maximum events popped per run (`0` = unlimited). Deterministic:
+    /// checked where a conservative time window ends (one link latency
+    /// after the window's first event, see [`crate::shard`]), so a run
+    /// may pop up to one window's events past the limit, and it trips
+    /// after the same event at every shard count.
     pub max_events: u64,
     /// Maximum wall-clock milliseconds per run (`0` = unlimited).
     /// Checked every 1024 pops; not deterministic across machines.

@@ -33,7 +33,9 @@ use crate::telemetry::{
     DeadlockReport, ProbeConfig, Telemetry, TelemetryReport, WaitPoint, WaitSide,
 };
 use crate::trace::{EngineTrace, PacketFlight, TraceConfig, TraceRecorder};
-use d2net_routing::{vc_for_hop, OccupancyView, RouteChoice, RoutePath, RoutePolicy, VcScheme};
+use d2net_routing::{
+    vc_for_phase, OccupancyView, RouteChoice, RoutePath, RoutePolicy, VcScheme, MAX_PATH_ROUTERS,
+};
 use d2net_topo::{FaultSet, Network, NodeId, RouterId};
 use d2net_verify::{debug_invariant, invariant, Verdict};
 use rand::rngs::SmallRng;
@@ -116,28 +118,152 @@ impl FifoSet {
     }
 }
 
+/// Routers the engine can simulate: [`Route`] packs router ids into 16
+/// bits. The largest configuration simulated here, MLFM(h=15), has 360.
+pub(crate) const MAX_ENGINE_ROUTERS: u32 = 1 << 16;
+
+/// The coded error for a router id beyond [`MAX_ENGINE_ROUTERS`].
+fn router_id_range_error(detail: &str) -> String {
+    format!(
+        "preflight rejected this configuration: [router-id-range] {detail}; \
+         route hops are packed as 16-bit router ids, so the engine simulates \
+         at most {MAX_ENGINE_ROUTERS} routers"
+    )
+}
+
+/// A packet's route as the engine stores it: a [`RouteChoice`] with its
+/// router ids packed to `u16`, which keeps [`Packet`] inside one 64-byte
+/// cache line while still holding a 12-router repaired route.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    hops: [u16; MAX_PATH_ROUTERS],
+    len: u8,
+    /// Hops of the first (towards-the-intermediate) phase.
+    phase_hops: u8,
+    indirect: bool,
+}
+
+impl Route {
+    /// Placeholder until the packet is routed at its source router.
+    const UNROUTED: Route = Route {
+        hops: [0; MAX_PATH_ROUTERS],
+        len: 0,
+        phase_hops: 0,
+        indirect: false,
+    };
+
+    /// Packs `choice`, or the coded `router-id-range` error when a router
+    /// id does not fit 16 bits. Engine construction rejects networks
+    /// that large, so on the hot path this never fails.
+    fn pack(choice: &RouteChoice) -> Result<Route, String> {
+        let routers = choice.path.routers();
+        let mut hops = [0u16; MAX_PATH_ROUTERS];
+        for (slot, &r) in hops.iter_mut().zip(routers) {
+            *slot = u16::try_from(r)
+                .map_err(|_| router_id_range_error(&format!("route names router {r}")))?;
+        }
+        Ok(Route {
+            hops,
+            len: routers.len() as u8,
+            phase_hops: choice.phase_hops,
+            indirect: choice.indirect,
+        })
+    }
+
+    /// Router at position `hop` of the route.
+    #[inline]
+    fn router(&self, hop: usize) -> RouterId {
+        self.hops[hop] as RouterId
+    }
+
+    /// Number of routers on the route.
+    #[inline]
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Destination router.
+    #[inline]
+    fn dst(&self) -> RouterId {
+        self.router(self.len() - 1)
+    }
+
+    /// VC of the `hop`-th link under `scheme`.
+    #[inline]
+    fn vc(&self, scheme: VcScheme, hop: usize) -> u8 {
+        vc_for_phase(scheme, self.indirect, self.phase_hops, hop)
+    }
+
+    /// The router sequence, unpacked (forensics only).
+    fn routers(&self) -> Vec<RouterId> {
+        self.hops[..self.len()].iter().map(|&r| r as RouterId).collect()
+    }
+}
+
 /// A packet in flight. `hop` is the index (within the route's router
 /// sequence) of the router the packet currently occupies or is arriving
 /// at; `link_vc` is the VC of the last link traversed (= the input VC).
+/// Sized to one cache line (64 B): the packet slab is the engine's
+/// largest structure, and each shard of a sharded run holds its own.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Packet {
-    src: NodeId,
     dst: NodeId,
     bytes: u32,
     birth_ps: u64,
     ready_ps: u64,
-    choice: RouteChoice,
-    hop: u8,
-    link_vc: u8,
     /// `(src_node << 32) | per-node injection ordinal` (slab ids recycle;
     /// this never does). Composite so every shard of a sharded run can
-    /// assign it locally, identical to serial. Links the flight
-    /// recorder's and the decision ledger's samples.
+    /// assign it locally, identical to serial; the source node is its
+    /// high word. Links the flight recorder's and the decision ledger's
+    /// samples.
     flight_id: u64,
+    route: Route,
+    hop: u8,
+    link_vc: u8,
     /// VC scheme of the policy that routed this packet: after a mid-run
     /// repair switches the injection policy, packets routed before and
     /// after coexist and each must keep its own VC ladder.
     scheme: VcScheme,
+}
+
+impl Packet {
+    /// Source node, the high word of the flight id.
+    #[inline]
+    fn src(&self) -> NodeId {
+        (self.flight_id >> 32) as NodeId
+    }
+}
+
+#[cfg(test)]
+mod layout_tests {
+    use super::*;
+
+    #[test]
+    fn packet_fits_one_cache_line() {
+        let size = std::mem::size_of::<Packet>();
+        assert!(size <= 64, "Packet grew to {size} B, past one cache line");
+    }
+
+    #[test]
+    fn route_packing_keeps_twelve_routers_and_rejects_ids_past_sixteen_bits() {
+        let choice = |routers: &[RouterId]| RouteChoice {
+            path: RoutePath::from_routers(routers),
+            phase_hops: 2,
+            indirect: true,
+        };
+        let long: Vec<RouterId> = (0..MAX_PATH_ROUTERS as RouterId)
+            .map(|i| MAX_ENGINE_ROUTERS - 1 - i)
+            .collect();
+        let route = Route::pack(&choice(&long)).expect("16-bit ids pack");
+        assert_eq!(route.routers(), long);
+        assert_eq!(route.dst(), *long.last().unwrap());
+        assert_eq!(route.vc(VcScheme::PhaseBased, 1), 0);
+        assert_eq!(route.vc(VcScheme::PhaseBased, 2), 1);
+
+        let err = Route::pack(&choice(&[0, MAX_ENGINE_ROUTERS])).unwrap_err();
+        assert!(err.contains("[router-id-range]"), "uncoded error: {err}");
+        assert!(err.contains("router 65536"), "{err}");
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -163,6 +289,10 @@ enum Ev {
     LinkFail(u32),
 }
 
+/// A sampled flight record travelling with its packet between shards:
+/// the flight's alloc `(time, key)` sort key and the record so far.
+pub(crate) type MigrantFlight = ((u64, u64), PacketFlight);
+
 /// A cross-shard event staged into a shard's `outbox` during a
 /// conservative window and delivered into the owning shard's queue at
 /// the window barrier (see [`crate::shard`]). The sender assigns the
@@ -172,8 +302,10 @@ enum Ev {
 pub(crate) enum OutEv {
     /// A packet finishing its link traversal into a router owned by
     /// another shard, together with its in-progress flight record when
-    /// the sending shard's trace recorder was tracking it.
-    Arrive(Packet, Option<((u64, u64), PacketFlight)>),
+    /// the sending shard's trace recorder was tracking it. The record is
+    /// boxed: it is rare (traced runs only) and would otherwise double
+    /// the size of every mailbox item.
+    Arrive(Packet, Option<Box<MigrantFlight>>),
     /// A credit returning to an output `(port, VC)` owned by another
     /// shard.
     Credit { pv: u32, bytes: u32 },
@@ -522,6 +654,12 @@ impl<'a> Engine<'a> {
         own_hi: u32,
         count_fault_events: bool,
     ) -> Result<Self, String> {
+        if net.num_routers() > MAX_ENGINE_ROUTERS {
+            return Err(router_id_range_error(&format!(
+                "network has {} routers",
+                net.num_routers()
+            )));
+        }
         preflight_gate(net, policy, &cfg)?;
         invariant!(
             sources.len() == net.num_nodes() as usize,
@@ -990,19 +1128,14 @@ impl<'a> Engine<'a> {
         self.node_seq[node as usize] = ordinal + 1;
         let flight_id = ((node as u64) << 32) | ordinal as u64;
         let pkt = self.alloc(Packet {
-            src: node,
             dst: spec.dst,
             bytes: spec.bytes,
             birth_ps: spec.birth_ps,
             ready_ps: 0,
-            choice: RouteChoice {
-                path: RoutePath::new(0),
-                phase_hops: 0,
-                indirect: false,
-            },
+            flight_id,
+            route: Route::UNROUTED,
             hop: 0,
             link_vc: 0,
-            flight_id,
             scheme: self.cur_policy.vc_scheme(),
         });
         if let Some(tr) = self.trace.as_mut() {
@@ -1029,7 +1162,7 @@ impl<'a> Engine<'a> {
     fn arrive_router(&mut self, pkt: u32) {
         let (src, dst, bytes, hop, link_vc) = {
             let p = &self.packets[pkt as usize];
-            (p.src, p.dst, p.bytes, p.hop, p.link_vc)
+            (p.src(), p.dst, p.bytes, p.hop, p.link_vc)
         };
         let (r, in_port, in_vc) = if hop == 0 {
             // Injection: decide the route now, at the source router, from
@@ -1097,7 +1230,8 @@ impl<'a> Engine<'a> {
                     }
                 }
             };
-            self.packets[pkt as usize].choice = choice;
+            self.packets[pkt as usize].route =
+                Route::pack(&choice).unwrap_or_else(|e| panic!("{e}"));
             self.packets[pkt as usize].scheme = self.cur_policy.vc_scheme();
             if let Some(tel) = self.telemetry.as_mut() {
                 tel.on_inject(self.now, src_r, src, dst, bytes, choice.indirect);
@@ -1107,10 +1241,9 @@ impl<'a> Engine<'a> {
             }
             (src_r, self.ports.node_port(self.net, src_r, src), 0u8)
         } else {
-            let p = &self.packets[pkt as usize];
-            let routers = p.choice.path.routers();
-            let r = routers[hop as usize];
-            let prev = routers[hop as usize - 1];
+            let route = &self.packets[pkt as usize].route;
+            let r = route.router(hop as usize);
+            let prev = route.router(hop as usize - 1);
             (r, self.ports.network_port(self.net, r, prev), link_vc)
         };
         if let Some(tr) = self.trace.as_mut() {
@@ -1131,9 +1264,9 @@ impl<'a> Engine<'a> {
         let Some(pkt) = self.in_q.front(pv) else {
             return;
         };
-        let (bytes, ready, hop, dst, choice, scheme) = {
+        let (bytes, ready, hop, dst, route, scheme) = {
             let p = &self.packets[pkt as usize];
-            (p.bytes, p.ready_ps, p.hop as usize, p.dst, p.choice, p.scheme)
+            (p.bytes, p.ready_ps, p.hop as usize, p.dst, p.route, p.scheme)
         };
         if ready > self.now {
             self.schedule(ready, Ev::TrySwitch(pv as u32));
@@ -1141,20 +1274,19 @@ impl<'a> Engine<'a> {
         }
         let in_port = pv as u32 / self.num_vcs;
         let r = self.ports.owner[in_port as usize];
-        let routers = choice.path.routers();
         debug_invariant!(
-            routers[hop] == r,
+            route.router(hop) == r,
             "packet at router {r} but its route places hop {hop} at {}",
-            routers[hop]
+            route.router(hop)
         );
-        let at_dst = hop == routers.len() - 1;
+        let at_dst = hop == route.len() - 1;
         let (out_port, out_vc) = if at_dst {
             (self.ports.node_port(self.net, r, dst), 0u8)
         } else {
-            let next = routers[hop + 1];
+            let next = route.router(hop + 1);
             (
                 self.ports.network_port(self.net, r, next),
-                vc_for_hop(scheme, &choice, hop),
+                route.vc(scheme, hop),
             )
         };
         if self.dead[out_port as usize] {
@@ -1368,7 +1500,11 @@ impl<'a> Engine<'a> {
                     let key = self.next_key();
                     let mut p = self.packets[pkt as usize];
                     p.hop += 1;
-                    let flight = self.trace.as_mut().and_then(|tr| tr.extract_flight(pkt));
+                    let flight = self
+                        .trace
+                        .as_mut()
+                        .and_then(|tr| tr.extract_flight(pkt))
+                        .map(Box::new);
                     self.free.push(pkt);
                     self.outbox.push((arrive, key, OutEv::Arrive(p, flight)));
                 }
@@ -1393,13 +1529,13 @@ impl<'a> Engine<'a> {
     fn arrive_node(&mut self, pkt: u32) {
         let p = self.packets[pkt as usize];
         debug_invariant!(
-            self.net.node_router(p.dst) == p.choice.path.dst(),
+            self.net.node_router(p.dst) == p.route.dst(),
             "packet delivered to a router its destination node is not attached to"
         );
         self.delivered += 1;
         if let Some(tel) = self.telemetry.as_mut() {
             let r = self.net.node_router(p.dst);
-            tel.on_eject(self.now, r, p.dst, p.src, p.bytes, self.now - p.birth_ps);
+            tel.on_eject(self.now, r, p.dst, p.src(), p.bytes, self.now - p.birth_ps);
         }
         if let Some(tr) = self.trace.as_mut() {
             tr.on_eject(pkt, self.now, self.net.node_router(p.dst));
@@ -1408,8 +1544,8 @@ impl<'a> Engine<'a> {
             self.acc.record(
                 self.now - p.birth_ps,
                 p.bytes,
-                p.choice.indirect,
-                p.choice.path.num_hops() as u32,
+                p.route.indirect,
+                p.route.len() as u32 - 1,
                 self.now,
             );
         }
@@ -1457,9 +1593,9 @@ impl<'a> Engine<'a> {
             Ev::ArriveRouter(p) => {
                 let pkt = &self.packets[p as usize];
                 if pkt.hop == 0 {
-                    self.net.node_router(pkt.src) + 1
+                    self.net.node_router(pkt.src()) + 1
                 } else {
-                    pkt.choice.path.routers()[pkt.hop as usize] + 1
+                    pkt.route.router(pkt.hop as usize) + 1
                 }
             }
             Ev::TrySwitch(pv) | Ev::Credit { pv, .. } => {
@@ -1494,6 +1630,11 @@ impl<'a> Engine<'a> {
         // Budget/chaos bookkeeping is hoisted behind one branch so the
         // default (unlimited, chaos-free) hot loop is unchanged.
         let guarded = !self.cfg.budget.is_unlimited() || self.cfg.chaos.is_some();
+        // Under a guard the loop tracks the conservative windows a
+        // sharded run opens (`crate::shard::window_until`) and checks the
+        // event budget only where one ends, so the budget trips after
+        // the same event at every shard count.
+        let mut window_end = 0u64;
         while let Some(t) = self.queue.peek_time() {
             if let Some(end) = end_ps {
                 if t > end {
@@ -1501,10 +1642,25 @@ impl<'a> Engine<'a> {
                     return false;
                 }
             }
-            if guarded && self.budget_spent() {
-                return false;
+            if guarded {
+                if t >= window_end {
+                    if self.event_budget_spent() {
+                        return false;
+                    }
+                    let next_fault = self.fault_events.get(self.next_fault).map(|f| f.t_ps);
+                    window_end =
+                        crate::shard::window_until(t, self.cfg.link_ps(), end_ps, next_fault);
+                }
+                if self.pop_guard() {
+                    return false;
+                }
             }
             let (t, key, ev) = self.queue.pop().unwrap();
+            if guarded && matches!(ev, Ev::LinkFail(_)) {
+                // The coordinator applies a fault at a barrier of its
+                // own; the next event opens a fresh window.
+                window_end = 0;
+            }
             self.step(t, key, ev);
         }
         let wedged = self.created > self.delivered + self.dropped_flight;
@@ -1514,12 +1670,24 @@ impl<'a> Engine<'a> {
         wedged
     }
 
-    /// One guarded-loop bookkeeping step: counts the pop about to
-    /// happen, fires an armed chaos fault at its event count, and
-    /// returns `true` (setting [`Engine::exhausted`]) when the run
-    /// budget is spent. Only called when a budget or a chaos fault is
-    /// configured.
-    fn budget_spent(&mut self) -> bool {
+    /// Whether the run's event budget is spent; sets
+    /// [`Engine::exhausted`] when it is. Checked only where a
+    /// conservative window ends, so a run may pop up to one window's
+    /// events past the limit — identically at every shard count.
+    fn event_budget_spent(&mut self) -> bool {
+        let max = self.cfg.budget.max_events;
+        if max > 0 && self.popped >= max {
+            self.exhausted = true;
+            return true;
+        }
+        false
+    }
+
+    /// Per-pop guard bookkeeping: counts the pop about to happen, fires
+    /// an armed chaos fault at its event count, and returns `true`
+    /// (setting [`Engine::exhausted`]) when the wall-clock budget is
+    /// spent. Only called when a budget or a chaos fault is configured.
+    fn pop_guard(&mut self) -> bool {
         self.popped += 1;
         if let Some(ch) = self.cfg.chaos {
             if self.popped == ch.after_events {
@@ -1533,10 +1701,6 @@ impl<'a> Engine<'a> {
             }
         }
         let budget = self.cfg.budget;
-        if budget.max_events > 0 && self.popped > budget.max_events {
-            self.exhausted = true;
-            return true;
-        }
         if budget.max_wall_ms > 0 && self.popped & 0x3FF == 0 {
             let start = *self.wall_start.get_or_insert_with(std::time::Instant::now);
             if start.elapsed().as_millis() as u64 >= budget.max_wall_ms {
@@ -1584,13 +1748,16 @@ impl<'a> Engine<'a> {
     /// influence is possible: anything a sibling shard emits at `t ≥`
     /// the global minimum arrives a full link latency later, which is
     /// exactly how `until` is chosen.
+    ///
+    /// The event budget is the coordinator's to check, over every
+    /// shard's pops, between windows.
     pub(crate) fn run_window(&mut self, until: u64) {
         let guarded = !self.cfg.budget.is_unlimited() || self.cfg.chaos.is_some();
         while let Some(t) = self.queue.peek_time() {
             if t >= until {
                 break;
             }
-            if guarded && self.budget_spent() {
+            if guarded && self.pop_guard() {
                 break;
             }
             let (t, key, ev) = self.queue.pop().unwrap();
@@ -1603,26 +1770,39 @@ impl<'a> Engine<'a> {
         self.queue.peek_time()
     }
 
-    /// Takes the cross-shard events staged during the last window.
-    pub(crate) fn take_outbox(&mut self) -> Vec<(u64, u64, OutEv)> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Owning shard of router `r` under this engine's shard layout —
-    /// used by the coordinator to route mailbox items.
-    pub(crate) fn owner_shard(bounds: &[(u32, u32)], r: RouterId) -> usize {
-        bounds
-            .iter()
-            .position(|&(lo, hi)| r >= lo && r < hi)
-            .expect("router outside every shard range")
-    }
-
-    /// Destination router of a staged mailbox event.
-    pub(crate) fn out_ev_router(&self, ev: &OutEv) -> RouterId {
-        match ev {
-            OutEv::Arrive(p, _) => p.choice.path.routers()[p.hop as usize],
-            OutEv::Credit { pv, .. } => self.ports.owner[(pv / self.num_vcs) as usize],
+    /// Drains the cross-shard events staged during the last window into
+    /// one mailbox per destination shard (`owner_shard` maps a router to
+    /// its shard's index).
+    pub(crate) fn route_outbox(
+        &mut self,
+        shards: usize,
+        owner_shard: impl Fn(RouterId) -> usize,
+    ) -> Vec<Vec<(u64, u64, OutEv)>> {
+        let mut out: Vec<Vec<(u64, u64, OutEv)>> = (0..shards).map(|_| Vec::new()).collect();
+        for item in self.outbox.drain(..) {
+            let r = match &item.2 {
+                OutEv::Arrive(p, _) => p.route.router(p.hop as usize),
+                OutEv::Credit { pv, .. } => self.ports.owner[(pv / self.num_vcs) as usize],
+            };
+            out[owner_shard(r)].push(item);
         }
+        out
+    }
+
+    /// Events this engine has popped under a budget or chaos guard — the
+    /// count the coordinator sums across shards for the event budget.
+    pub(crate) fn popped(&self) -> u64 {
+        self.popped
+    }
+
+    /// Simulated time of the last event this engine handled.
+    pub(crate) fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Marks the run exhausted: the coordinator's event-budget trip.
+    pub(crate) fn mark_exhausted(&mut self) {
+        self.exhausted = true;
     }
 
     /// Merges one mailbox event into this shard's queue under the
@@ -1634,7 +1814,10 @@ impl<'a> Engine<'a> {
                 let id = self.alloc_slot(p);
                 if let Some(tr) = self.trace.as_mut() {
                     match flight {
-                        Some((k, f)) => tr.implant_flight(id, k, f),
+                        Some(m) => {
+                            let (k, f) = *m;
+                            tr.implant_flight(id, k, f)
+                        }
                         // Unsampled migrant: still reset the slab slot's
                         // mapping so id recycling can't splice timelines.
                         None => tr.clear_slot(id),
@@ -1661,6 +1844,8 @@ impl<'a> Engine<'a> {
             self.flush_probe(t);
         }
         if self.count_fault_events {
+            // The pop serial counts for its `Ev::LinkFail`.
+            self.popped += 1;
             if let Some(tr) = self.trace.as_mut() {
                 tr.counters.events_popped += 1;
             }
@@ -1744,7 +1929,7 @@ impl<'a> Engine<'a> {
                         vc,
                         len,
                         head.hop,
-                        head.choice.path.routers(),
+                        head.route.routers(),
                         head.ready_ps,
                         self.blocked_flag[pv],
                     );
@@ -1790,15 +1975,14 @@ impl<'a> Engine<'a> {
                 let p = &self.packets[pkt as usize];
                 let in_port = pv as u32 / self.num_vcs;
                 let r = self.ports.owner[in_port as usize];
-                let routers = p.choice.path.routers();
                 let hop = p.hop as usize;
-                let (out_port, out_vc) = if hop == routers.len() - 1 {
+                let (out_port, out_vc) = if hop == p.route.len() - 1 {
                     (self.ports.node_port(self.net, r, p.dst), 0u8)
                 } else {
-                    let next = routers[hop + 1];
+                    let next = p.route.router(hop + 1);
                     (
                         self.ports.network_port(self.net, r, next),
-                        vc_for_hop(p.scheme, &p.choice, hop),
+                        p.route.vc(p.scheme, hop),
                     )
                 };
                 let out_pv = self.pv(out_port, out_vc);
@@ -1877,10 +2061,10 @@ impl<'a> Engine<'a> {
             side,
             occupancy_bytes: occ,
             queue_len: q.len(pv),
-            head_src: head.src,
+            head_src: head.src(),
             head_dst: head.dst,
             head_hop: head.hop,
-            head_route: head.choice.path.routers().to_vec(),
+            head_route: head.route.routers(),
             missing_credits,
         }
     }
@@ -2012,26 +2196,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Consumes the engine after an exchange run.
-    pub fn finish_exchange(self, total_bytes: u64) -> ExchangeStats {
-        self.finish_exchange_probed(total_bytes).0
-    }
-
-    /// Like [`Engine::finish_exchange`], also returning the telemetry
-    /// report when a probe was attached.
-    pub fn finish_exchange_probed(
-        self,
-        total_bytes: u64,
-    ) -> (ExchangeStats, Option<TelemetryReport>) {
-        let (stats, telemetry, _) = self.finish_exchange_traced(total_bytes);
-        (stats, telemetry)
-    }
-
-    /// Like [`Engine::finish_exchange_probed`], also returning the
-    /// structured trace when a recorder was attached. The measure phase
-    /// spans the injection period (up to the last packet committed into
-    /// the network); the drain phase covers the deliveries, credits and
-    /// wake events that settle afterwards.
+    /// Consumes the engine after an exchange run, returning its stats,
+    /// the telemetry report when a probe was attached and the structured
+    /// trace when a recorder was attached. The measure phase spans the
+    /// injection period (up to the last packet committed into the
+    /// network); the drain phase covers the deliveries, credits and wake
+    /// events that settle afterwards.
     pub fn finish_exchange_traced(
         mut self,
         total_bytes: u64,
@@ -2041,6 +2211,19 @@ impl<'a> Engine<'a> {
             self.flush_probe(self.now);
         }
         let telemetry = self.take_probe_report(deadlocked);
+        let (stats, trace) = self.exchange_stats(total_bytes, deadlocked);
+        (stats, telemetry, trace)
+    }
+
+    /// Builds the run's [`ExchangeStats`] from the accumulated state and
+    /// finalizes the attached trace/ledger — the tail shared by the
+    /// serial and sharded exchange runners, as [`Engine::synthetic_stats`]
+    /// is for synthetic runs.
+    pub(crate) fn exchange_stats(
+        &mut self,
+        total_bytes: u64,
+        deadlocked: bool,
+    ) -> (ExchangeStats, Option<EngineTrace>) {
         let measure_end = self
             .trace
             .as_ref()
@@ -2059,7 +2242,7 @@ impl<'a> Engine<'a> {
             0.0
         };
         debug_invariant!(
-            deadlocked || self.acc.delivered_bytes == total_bytes,
+            deadlocked || self.exhausted || self.acc.delivered_bytes == total_bytes,
             "exchange completed without delivering every byte"
         );
         let stats = ExchangeStats {
@@ -2072,7 +2255,7 @@ impl<'a> Engine<'a> {
             indirect_packets: self.acc.indirect_packets,
             deadlocked: deadlocked || self.acc.delivered_bytes < total_bytes,
         };
-        (stats, telemetry, trace)
+        (stats, trace)
     }
 }
 
@@ -2103,15 +2286,14 @@ pub(crate) fn deadlock_forensics_sharded(shards: &[&Engine]) -> Option<DeadlockR
             let p = &e.packets[pkt as usize];
             let in_port = pv as u32 / e.num_vcs;
             let r = e.ports.owner[in_port as usize];
-            let routers = p.choice.path.routers();
             let hop = p.hop as usize;
-            let (out_port, out_vc) = if hop == routers.len() - 1 {
+            let (out_port, out_vc) = if hop == p.route.len() - 1 {
                 (e.ports.node_port(e.net, r, p.dst), 0u8)
             } else {
-                let next = routers[hop + 1];
+                let next = p.route.router(hop + 1);
                 (
                     e.ports.network_port(e.net, r, next),
-                    vc_for_hop(p.scheme, &p.choice, hop),
+                    p.route.vc(p.scheme, hop),
                 )
             };
             let out_pv = e.pv(out_port, out_vc);
@@ -2492,6 +2674,13 @@ pub(crate) fn engine_faults<'a>(
 
 /// Runs a fixed-size exchange to completion. `window` is the number of
 /// messages each node keeps in flight simultaneously (1 = fully staged).
+///
+/// The exchange runs sharded in conservative time windows when
+/// [`crate::plan_shards`] says so (by default on networks of 128
+/// routers or more; see [`crate::shard`]), with stats byte-identical to
+/// the serial engine's at every shard count. An exchange has no
+/// horizon: it ends when every queue and mailbox has drained, or when
+/// its run budget trips — after the same event at every shard count.
 pub fn run_exchange(
     net: &Network,
     policy: &RoutePolicy,
@@ -2499,21 +2688,11 @@ pub fn run_exchange(
     window: usize,
     cfg: SimConfig,
 ) -> ExchangeStats {
-    invariant!(
-        exchange.sends.len() == net.num_nodes() as usize,
-        "exchange pattern must cover every node ({} send lists, {} nodes)",
-        exchange.sends.len(),
-        net.num_nodes()
-    );
-    let rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = (0..net.num_nodes())
-        .map(|n| NodeSource::exchange(exchange, n, window, cfg.packet_bytes))
-        .collect();
-    let engine = Engine::new(net, policy, cfg, sources, 0, rng);
-    engine.finish_exchange(exchange.total_bytes())
+    crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, None, None).0
 }
 
-/// [`run_exchange`] with an observability probe attached.
+/// [`run_exchange`] with an observability probe attached; the report is
+/// identical at every shard count.
 pub fn run_exchange_probed(
     net: &Network,
     policy: &RoutePolicy,
@@ -2522,25 +2701,16 @@ pub fn run_exchange_probed(
     cfg: SimConfig,
     probe: ProbeConfig,
 ) -> (ExchangeStats, TelemetryReport) {
-    invariant!(
-        exchange.sends.len() == net.num_nodes() as usize,
-        "exchange pattern must cover every node ({} send lists, {} nodes)",
-        exchange.sends.len(),
-        net.num_nodes()
-    );
-    let rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = (0..net.num_nodes())
-        .map(|n| NodeSource::exchange(exchange, n, window, cfg.packet_bytes))
-        .collect();
-    let mut engine = Engine::new(net, policy, cfg, sources, 0, rng);
-    engine.attach_probe(probe);
-    let (stats, telemetry) = engine.finish_exchange_probed(exchange.total_bytes());
-    (stats, telemetry.expect("probe was attached"))
+    let (stats, tel, _) =
+        crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, Some(probe), None);
+    (stats, tel.expect("probe was attached"))
 }
 
 /// [`run_exchange`] with a structured trace recorder attached. Exchanges
 /// have no warmup; the measure phase ends at the last delivery and the
-/// drain phase covers the settling credits afterwards.
+/// drain phase covers the settling credits afterwards. Sharded, the
+/// trace equals serial's except for the calendar queue's internal
+/// counters, as for synthetic runs.
 pub fn run_exchange_traced(
     net: &Network,
     policy: &RoutePolicy,
@@ -2549,18 +2719,7 @@ pub fn run_exchange_traced(
     cfg: SimConfig,
     trace: TraceConfig,
 ) -> (ExchangeStats, EngineTrace) {
-    invariant!(
-        exchange.sends.len() == net.num_nodes() as usize,
-        "exchange pattern must cover every node ({} send lists, {} nodes)",
-        exchange.sends.len(),
-        net.num_nodes()
-    );
-    let rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = (0..net.num_nodes())
-        .map(|n| NodeSource::exchange(exchange, n, window, cfg.packet_bytes))
-        .collect();
-    let mut engine = Engine::new(net, policy, cfg, sources, 0, rng);
-    engine.attach_trace(trace);
-    let (stats, _, tr) = engine.finish_exchange_traced(exchange.total_bytes());
+    let (stats, _, tr) =
+        crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, None, Some(trace));
     (stats, tr.expect("trace was attached"))
 }

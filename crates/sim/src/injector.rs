@@ -130,6 +130,18 @@ impl NodeSource {
         src
     }
 
+    /// An exchange source with nothing to send: the placeholder a shard
+    /// holds for a node another shard owns (and never consults).
+    pub(crate) fn idle_exchange(packet_bytes: u32) -> Self {
+        NodeSource::Exchange {
+            pending: Vec::new(),
+            active: Vec::new(),
+            window: 1,
+            rr: 0,
+            packet_bytes,
+        }
+    }
+
     fn refill(&mut self) {
         if let NodeSource::Exchange {
             pending,

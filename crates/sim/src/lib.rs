@@ -10,7 +10,8 @@
 //! - [`run_synthetic`] — steady-state uniform / permutation traffic with
 //!   warm-up, reporting accepted throughput and mean packet delay;
 //! - [`run_exchange`] — fixed-size collective exchanges (A2A / NN) run to
-//!   completion, reporting effective throughput;
+//!   completion, reporting effective throughput; on large networks they
+//!   run sharded, like synthetic runs (see [`shard`]);
 //! - [`sweep::load_sweep`] — the offered-load axes of Figs. 6–12;
 //! - [`run_synthetic_probed`] / [`run_exchange_probed`] /
 //!   [`sweep::load_sweep_probed`] — the same runs with an observability
@@ -22,7 +23,9 @@
 //! - [`run_synthetic_sharded`] and friends — single runs partitioned
 //!   across router shards in conservative time windows, byte-identical
 //!   to serial at any shard count (see [`shard`]); the sweeps compose
-//!   shard- with point-level parallelism under one thread budget.
+//!   shard- with point-level parallelism under one thread budget. The
+//!   `run_exchange*` entry points share the same window coordinator,
+//!   ending an exchange when every queue and mailbox has drained.
 
 pub mod config;
 pub mod engine;

@@ -1,5 +1,5 @@
 //! Intra-run sharded simulation: conservative time-window engine
-//! parallelism.
+//! parallelism, for synthetic runs and exchanges alike.
 //!
 //! Routers are partitioned into `k` contiguous shards, each a full
 //! [`Engine`] restricted to its own router range
@@ -12,7 +12,8 @@
 //! shard may drain events with `t < T + L` without synchronizing.
 //!
 //! Cross-shard transfers are staged into per-shard outboxes during a
-//! window and routed to their owning shards at the barrier. The sender
+//! window, sorted by destination shard by the sending worker, and
+//! appended to the owning shards' inboxes at the barrier. The sender
 //! assigns each staged event the exact `(time, key)` it would have
 //! carried serially; keys are globally unique (per-router lanes, see
 //! `Engine::next_key`), so each receiving queue's `(time, key)` order
@@ -21,11 +22,18 @@
 //! Mid-run faults ([`EngineFault`]) are applied at barriers; the
 //! coordinator never opens a window across a fault time.
 //!
-//! Every observable output — [`SyntheticStats`], telemetry reports,
-//! traces, ledgers, and the manifests derived from them — is
-//! byte-identical to the serial engine's for every shard count. The
-//! window protocol, the mailbox merge-ordering proof sketch, and the
-//! shard-layout decisions are documented in DESIGN.md §14.
+//! One coordinator (`run_windows`) serves both workloads: a synthetic
+//! run stops at its horizon, an exchange has none and ends when every
+//! queue and mailbox has drained. An event budget is checked between
+//! windows over every shard's pops; the serial engine checks it at the
+//! same window boundaries, so a budget trips after the same event at
+//! every shard count.
+//!
+//! Every observable output — [`SyntheticStats`], [`ExchangeStats`],
+//! telemetry reports, traces, ledgers, and the manifests derived from
+//! them — is byte-identical to the serial engine's for every shard
+//! count. The window protocol, the mailbox merge-ordering proof sketch,
+//! and the shard-layout decisions are documented in DESIGN.md §14.
 
 use crate::config::{EventQueueKind, SimConfig};
 use crate::engine::{
@@ -33,12 +41,14 @@ use crate::engine::{
     synthetic_sources, try_preflight_once, Engine, OutEv,
 };
 use crate::fault::FaultSchedule;
+use crate::injector::NodeSource;
 use crate::ledger::{EngineLedger, LedgerConfig};
-use crate::stats::SyntheticStats;
-use crate::telemetry::{ProbeConfig, TelemetryReport};
+use crate::stats::{ExchangeStats, SyntheticStats};
+use crate::telemetry::{DeadlockReport, ProbeConfig, TelemetryReport};
 use crate::trace::{EngineTrace, TraceConfig};
 use d2net_routing::{Algorithm, RoutePolicy};
-use d2net_topo::Network;
+use d2net_topo::{Network, RouterId};
+use d2net_verify::invariant;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::mpsc;
@@ -72,9 +82,10 @@ fn requested_shards(cfg: &SimConfig) -> (usize, bool) {
     (auto, false)
 }
 
-/// The shard count a synthetic run over `net` under `policy`/`cfg` will
-/// actually use (`1` = serial). The parallel sweeps call this to split
-/// one thread budget between point-level and shard-level parallelism.
+/// The shard count a run over `net` under `policy`/`cfg` — synthetic or
+/// exchange — will actually use (`1` = serial). The parallel sweeps call
+/// this to split one thread budget between point-level and shard-level
+/// parallelism.
 pub fn plan_shards(net: &Network, policy: &RoutePolicy, cfg: &SimConfig) -> usize {
     effective_shards(net, policy, cfg, false)
 }
@@ -131,52 +142,82 @@ fn shard_bounds(num_routers: u32, k: usize) -> Vec<(u32, u32)> {
     bounds
 }
 
-/// A mailbox item tagged with its destination shard.
-type Routed = (usize, (u64, u64, OutEv));
+/// Index of the shard whose range holds router `r`.
+fn owner_shard(bounds: &[(u32, u32)], r: RouterId) -> usize {
+    bounds.partition_point(|&(_, hi)| hi <= r)
+}
+
+/// End of the conservative window opening at the global minimum `m`:
+/// one link latency ahead (nothing a sibling shard emits at `t ≥ m`
+/// lands sooner), clamped to the horizon (serial handles `t == end_ps`
+/// and stops beyond) and to the next pending fault. Under a run budget
+/// the serial engine tracks the same windows, which is what makes an
+/// event budget trip after the same event at every shard count.
+pub(crate) fn window_until(
+    m: u64,
+    link_ps: u64,
+    end_ps: Option<u64>,
+    next_fault: Option<u64>,
+) -> u64 {
+    let mut until = m + link_ps;
+    if let Some(end) = end_ps {
+        until = until.min(end + 1);
+    }
+    if let Some(f) = next_fault {
+        until = until.min(f);
+    }
+    until
+}
+
+/// A mailbox item: a cross-shard event under its sender-assigned
+/// `(time, key)`.
+type Mail = (u64, u64, OutEv);
 
 /// Coordinator → shard commands. Each of the first two is answered by
 /// exactly one [`Reply`].
 enum Cmd {
     /// Deliver `inbox` into the shard's queue, then drain every event
     /// with `t < until`.
-    Window {
-        until: u64,
-        inbox: Vec<(u64, u64, OutEv)>,
-    },
+    Window { until: u64, inbox: Vec<Mail> },
     /// Apply fault-schedule entry `i` at this barrier — the sharded
     /// equivalent of popping the serial `Ev::LinkFail`.
     Fault(usize),
-    /// Final bookkeeping (clock to the horizon if events remained
-    /// beyond it, probe flush); the worker then returns its engine.
-    /// `inbox` holds mailbox items still undelivered at the break —
-    /// arrivals beyond the horizon. Serial keeps the matching events
-    /// (and their trace flight records) queued past `end_ps`, so they
-    /// are delivered rather than dropped: a migrant flight's record
-    /// travels inside its `OutEv::Arrive` and would otherwise vanish
-    /// from the merged trace.
+    /// Final bookkeeping, after which the worker returns its engine.
+    /// `inbox` holds mailbox items still undelivered when the run
+    /// stopped — arrivals beyond the horizon, or past a budget trip.
+    /// Serial keeps the matching events (and their trace flight records)
+    /// queued, so they are delivered rather than dropped: a migrant
+    /// flight's record travels inside its `OutEv::Arrive` and would
+    /// otherwise vanish from the merged trace. `force_now` is the
+    /// horizon when the run stopped at it (serial sets its clock there);
+    /// `flush_to` is where the probe's sample windows end.
     Finish {
-        end_ps: u64,
-        at_horizon: bool,
-        inbox: Vec<(u64, u64, OutEv)>,
+        force_now: Option<u64>,
+        flush_to: u64,
+        inbox: Vec<Mail>,
     },
 }
 
-/// Shard → coordinator barrier reply: the cross-shard events staged
-/// during the window (already routed to their destination shards) and
-/// the shard's next queued timestamp.
+/// Shard → coordinator barrier reply.
 struct Reply {
-    shard: usize,
-    outbox: Vec<Routed>,
+    /// The cross-shard events staged during the window, one mailbox per
+    /// destination shard.
+    outbox: Vec<Vec<Mail>>,
+    /// The shard's next queued timestamp.
     min_peek: Option<u64>,
-    /// The shard's run budget tripped inside the window (see
-    /// [`crate::RunBudget`]): the coordinator stops opening windows and
-    /// finalizes the partial run as exhausted.
+    /// Events the shard has popped under a budget guard, for the
+    /// coordinator's event budget.
+    popped: u64,
+    /// The shard's clock.
+    now: u64,
+    /// The shard's wall-clock budget (or a chaos stall) tripped inside
+    /// the window: the coordinator stops opening windows and finalizes
+    /// the partial run as exhausted.
     exhausted: bool,
 }
 
 fn shard_worker<'a>(
     mut eng: Engine<'a>,
-    shard: usize,
     bounds: &[(u32, u32)],
     rx: mpsc::Receiver<Cmd>,
     tx: mpsc::Sender<Reply>,
@@ -191,132 +232,98 @@ fn shard_worker<'a>(
             }
             Cmd::Fault(i) => eng.apply_fault(i),
             Cmd::Finish {
-                end_ps,
-                at_horizon,
+                force_now,
+                flush_to,
                 inbox,
             } => {
                 for (t, key, ev) in inbox {
                     eng.deliver(t, key, ev);
                 }
-                if at_horizon {
-                    eng.force_now(end_ps);
+                if let Some(t) = force_now {
+                    eng.force_now(t);
                 }
-                eng.flush_probe_to(end_ps);
+                eng.flush_probe_to(flush_to);
                 return eng;
             }
         }
-        let outbox = eng
-            .take_outbox()
-            .into_iter()
-            .map(|(t, key, ev)| {
-                let dst = Engine::owner_shard(bounds, eng.out_ev_router(&ev));
-                (dst, (t, key, ev))
-            })
-            .collect();
-        let min_peek = eng.min_peek();
-        let _ = tx.send(Reply {
-            shard,
-            outbox,
-            min_peek,
+        let reply = Reply {
+            outbox: eng.route_outbox(bounds.len(), |r| owner_shard(bounds, r)),
+            min_peek: eng.min_peek(),
+            popped: eng.popped(),
+            now: eng.now(),
             exhausted: eng.budget_exhausted(),
-        });
+        };
+        if tx.send(reply).is_err() {
+            break;
+        }
     }
     eng
 }
 
-/// Waits for one [`Reply`] per shard, refreshing each shard's queue
-/// minimum and routing its staged events into the destination inboxes.
-fn collect_replies(
-    rx: &mpsc::Receiver<Reply>,
-    k: usize,
-    min_peeks: &mut [Option<u64>],
-    inboxes: &mut [Vec<(u64, u64, OutEv)>],
-) -> bool {
-    let mut exhausted = false;
-    for _ in 0..k {
-        let r = rx.recv().expect("shard worker alive");
-        min_peeks[r.shard] = r.min_peek;
-        exhausted |= r.exhausted;
-        for (dst, item) in r.outbox {
-            inboxes[dst].push(item);
-        }
-    }
-    exhausted
+/// The coordinator's view of the shards between two windows.
+struct Barrier {
+    min_peeks: Vec<Option<u64>>,
+    popped: Vec<u64>,
+    /// Latest clock over every shard: the time of the last event handled
+    /// anywhere.
+    now: u64,
+    /// Mailbox items waiting for the next window, per destination shard.
+    inboxes: Vec<Vec<Mail>>,
 }
 
-/// The shared synthetic-run core: resolves the shard count, falls back
-/// to the serial engine at `k = 1`, and otherwise runs the
-/// window-barrier protocol, absorbing every shard into one engine for
-/// the ordinary finalization path. Called by every
-/// `run_synthetic_sharded*` entry point and the sweeps' `PointRunner`.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub(crate) fn run_sharded_inner(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    schedule: Option<&FaultSchedule>,
-    load: f64,
-    end_ps: u64,
-    warmup_ps: u64,
-    cfg: SimConfig,
-    probe: Option<ProbeConfig>,
-    trace: Option<TraceConfig>,
-    ledger: Option<LedgerConfig>,
-) -> Result<
-    (
-        SyntheticStats,
-        Option<TelemetryReport>,
-        Option<EngineTrace>,
-        Option<EngineLedger>,
-    ),
-    String,
-> {
-    let policies = schedule
-        .map(|s| resolve_fault_policies(net, policy, s))
-        .unwrap_or_default();
-    let fault_at_zero = schedule.is_some_and(|s| s.events().iter().any(|e| e.t_ns == 0));
-    let k = effective_shards(net, policy, &cfg, fault_at_zero);
-
-    if k <= 1 {
-        // Serial fallback: identical to the unsharded entry points.
-        let faults = schedule
-            .map(|s| engine_faults(net, s, &policies))
-            .unwrap_or_default();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
-        let mut eng = Engine::try_new_faulted(net, policy, cfg, sources, warmup_ps, rng, faults)?;
-        if let Some(p) = probe {
-            eng.attach_probe(p);
+impl Barrier {
+    /// Waits for every shard's reply, in shard order, refreshing its
+    /// queue minimum, pop count and clock and appending its mailboxes to
+    /// the destination inboxes. Returns whether a shard's budget tripped
+    /// inside the window.
+    fn collect(&mut self, rxs: &[mpsc::Receiver<Reply>]) -> bool {
+        let mut exhausted = false;
+        for (i, rx) in rxs.iter().enumerate() {
+            let r = rx.recv().expect("shard worker alive");
+            self.min_peeks[i] = r.min_peek;
+            self.popped[i] = r.popped;
+            self.now = self.now.max(r.now);
+            exhausted |= r.exhausted;
+            for (inbox, mut mail) in self.inboxes.iter_mut().zip(r.outbox) {
+                inbox.append(&mut mail);
+            }
         }
-        if let Some(t) = trace {
-            eng.attach_trace(t);
-        }
-        if let Some(l) = ledger {
-            eng.attach_ledger(l);
-        }
-        let (stats, tel) = eng.run_synthetic_to(load, end_ps);
-        return Ok((stats, tel, eng.take_trace(), eng.take_ledger()));
+        exhausted
     }
 
-    // The static preflight pass is shard-independent; run it once here
-    // rather than once per shard build.
-    let cfg = try_preflight_once(net, policy, cfg)?;
-    let bounds = shard_bounds(net.num_routers(), k);
-    let fault_times: Vec<u64> = schedule
-        .map(|s| s.events().iter().map(|e| e.t_ns * 1_000).collect())
-        .unwrap_or_default();
+    /// Global minimum over every shard queue and undelivered mailbox item.
+    fn global_min(&self) -> Option<u64> {
+        let queue_min = self.min_peeks.iter().flatten().copied().min();
+        let inbox_min = self.inboxes.iter().flatten().map(|&(t, _, _)| t).min();
+        match (queue_min, inbox_min) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+}
 
+/// A sharded run's result before finalization: the engine every shard
+/// was absorbed into, whether the run wedged, and the wedge forensics.
+type Absorbed<'a> = (Engine<'a>, bool, Option<DeadlockReport>);
+
+/// The conservative-window coordinator shared by synthetic runs and
+/// exchanges. Builds one engine per shard with `build(lo, hi, cfg,
+/// first)` (`first` marks shard 0, which carries the fault-event
+/// accounting), then runs the shards in lock-step windows until the
+/// horizon `end_ps` — an exchange has none — every queue and mailbox
+/// drains, or a budget trips. Every shard is then absorbed into the
+/// first engine for the ordinary finalization path.
+fn run_windows<'a>(
+    net: &Network,
+    cfg: SimConfig,
+    k: usize,
+    end_ps: Option<u64>,
+    fault_times: &[u64],
+    mut build: impl FnMut(u32, u32, SimConfig, bool) -> Result<Engine<'a>, String>,
+) -> Result<Absorbed<'a>, String> {
+    let bounds = shard_bounds(net.num_routers(), k);
     let mut engines: Vec<Engine> = Vec::with_capacity(k);
     for (i, &(lo, hi)) in bounds.iter().enumerate() {
-        // Every shard derives the run's randomness from an identically
-        // seeded master RNG and an identical source vector, so a
-        // node's stochastic stream is the same no matter which shard
-        // owns it (see `derive_node_rngs`).
-        let faults = schedule
-            .map(|s| engine_faults(net, s, &policies))
-            .unwrap_or_default();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
         // An armed chaos fault fires once per run, not once per shard:
         // only shard 0 carries it (its fire point counts that shard's
         // own pops, so sharded chaos timing differs from serial — chaos
@@ -325,63 +332,44 @@ pub(crate) fn run_sharded_inner(
         if i != 0 {
             scfg.chaos = None;
         }
-        let mut eng =
-            Engine::build_shard(net, policy, scfg, sources, warmup_ps, rng, faults, lo, hi, i == 0)?;
-        if let Some(p) = probe {
-            eng.attach_probe(p);
-        }
-        if let Some(t) = trace {
-            eng.attach_trace(t);
-        }
-        if let Some(l) = ledger {
-            eng.attach_ledger(l);
-        }
-        engines.push(eng);
+        engines.push(build(lo, hi, scfg, i == 0)?);
     }
 
     let link_ps = cfg.link_ps();
-    let mut min_peeks: Vec<Option<u64>> = engines.iter_mut().map(|e| e.min_peek()).collect();
-    let mut inboxes: Vec<Vec<(u64, u64, OutEv)>> = (0..k).map(|_| Vec::new()).collect();
-    let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+    let max_events = cfg.budget.max_events;
+    let mut barrier = Barrier {
+        min_peeks: engines.iter_mut().map(|e| e.min_peek()).collect(),
+        popped: vec![0; k],
+        now: 0,
+        inboxes: (0..k).map(|_| Vec::new()).collect(),
+    };
     let mut at_horizon = false;
     let mut drained = false;
+    let mut budget_tripped = false;
 
     let mut engines: Vec<Engine> = std::thread::scope(|s| {
         let bounds = &bounds;
         let mut cmd_txs = Vec::with_capacity(k);
+        let mut reply_rxs = Vec::with_capacity(k);
         let mut handles = Vec::with_capacity(k);
-        for (i, eng) in engines.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<Cmd>();
-            cmd_txs.push(tx);
-            let reply_tx = reply_tx.clone();
-            handles.push(s.spawn(move || shard_worker(eng, i, bounds, rx, reply_tx)));
+        for eng in engines {
+            let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
+            let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+            cmd_txs.push(cmd_tx);
+            reply_rxs.push(reply_rx);
+            handles.push(s.spawn(move || shard_worker(eng, bounds, cmd_rx, reply_tx)));
         }
         let mut next_fault = 0usize;
         loop {
-            let queue_min = min_peeks.iter().flatten().copied().min();
-            let inbox_min = inboxes
-                .iter()
-                .flat_map(|b| b.iter().map(|&(t, _, _)| t))
-                .min();
-            let global_min = match (queue_min, inbox_min) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            // Apply every fault due at or before the next event, in
-            // schedule order. Faults beyond the horizon stay pending,
-            // exactly as their serial `Ev::LinkFail` would stay queued.
-            if next_fault < fault_times.len()
-                && fault_times[next_fault] <= end_ps
-                && global_min.is_none_or(|m| fault_times[next_fault] <= m)
-            {
-                for tx in &cmd_txs {
-                    tx.send(Cmd::Fault(next_fault)).expect("shard worker alive");
-                }
-                let _ = collect_replies(&reply_rx, k, &mut min_peeks, &mut inboxes);
-                next_fault += 1;
-                continue;
-            }
-            let Some(m) = global_min else {
+            let global_min = barrier.global_min();
+            // A fault is due when it falls at or before the next event
+            // and inside the horizon. Faults beyond the horizon stay
+            // pending, exactly as their serial `Ev::LinkFail` would stay
+            // queued.
+            let fault_due = fault_times.get(next_fault).copied().filter(|&f| {
+                end_ps.is_none_or(|end| f <= end) && global_min.is_none_or(|m| f <= m)
+            });
+            let Some(next) = fault_due.or(global_min) else {
                 // All queues and mailboxes are empty. Serial would
                 // still hold any beyond-horizon LinkFail events, so it
                 // only counts as drained when none are pending.
@@ -392,38 +380,46 @@ pub(crate) fn run_sharded_inner(
                 }
                 break;
             };
-            if m > end_ps {
+            if end_ps.is_some_and(|end| next > end) {
                 at_horizon = true;
                 break;
             }
-            // One conservative window: everything below the global
-            // minimum plus one link latency is causally sealed. Clamp
-            // to the horizon (serial processes t == end_ps, stops
-            // beyond) and to the next fault time.
-            let mut until = (m + link_ps).min(end_ps + 1);
-            if next_fault < fault_times.len() {
-                until = until.min(fault_times[next_fault]);
+            // The event budget counts every shard's pops and is checked
+            // where the serial loop checks it: before each window.
+            if max_events > 0 && barrier.popped.iter().sum::<u64>() >= max_events {
+                budget_tripped = true;
+                break;
             }
-            for (i, tx) in cmd_txs.iter().enumerate() {
+            if fault_due.is_some() {
+                for tx in &cmd_txs {
+                    tx.send(Cmd::Fault(next_fault)).expect("shard worker alive");
+                }
+                barrier.collect(&reply_rxs);
+                next_fault += 1;
+                continue;
+            }
+            let until = window_until(next, link_ps, end_ps, fault_times.get(next_fault).copied());
+            for (tx, inbox) in cmd_txs.iter().zip(barrier.inboxes.iter_mut()) {
                 tx.send(Cmd::Window {
                     until,
-                    inbox: std::mem::take(&mut inboxes[i]),
+                    inbox: std::mem::take(inbox),
                 })
                 .expect("shard worker alive");
             }
-            if collect_replies(&reply_rx, k, &mut min_peeks, &mut inboxes) {
-                // A shard's run budget tripped mid-window: stop opening
-                // windows and finalize the partial run — the absorbed
-                // engine's `exhausted` flag marks the stats.
-                at_horizon = true;
+            if barrier.collect(&reply_rxs) {
+                // A shard's wall-clock budget tripped mid-window: stop
+                // opening windows and finalize the partial run — the
+                // absorbed engine's `exhausted` flag marks the stats.
                 break;
             }
         }
-        for (i, tx) in cmd_txs.iter().enumerate() {
+        let force_now = end_ps.filter(|_| at_horizon);
+        let flush_to = end_ps.unwrap_or(barrier.now);
+        for (tx, inbox) in cmd_txs.iter().zip(barrier.inboxes.iter_mut()) {
             tx.send(Cmd::Finish {
-                end_ps,
-                at_horizon,
-                inbox: std::mem::take(&mut inboxes[i]),
+                force_now,
+                flush_to,
+                inbox: std::mem::take(inbox),
             })
             .expect("shard worker alive");
         }
@@ -455,9 +451,160 @@ pub(crate) fn run_sharded_inner(
     for other in rest.iter_mut() {
         first.absorb_shard(other);
     }
-    let telemetry = first.take_probe_report_with(forensics);
-    let stats = first.synthetic_stats(load, end_ps, wedged);
-    Ok((stats, telemetry, first.take_trace(), first.take_ledger()))
+    if budget_tripped {
+        first.mark_exhausted();
+    }
+    Ok((engines.swap_remove(0), wedged, forensics))
+}
+
+/// The observers a run attaches to every engine it builds.
+#[derive(Clone, Copy)]
+struct Observers {
+    probe: Option<ProbeConfig>,
+    trace: Option<TraceConfig>,
+    ledger: Option<LedgerConfig>,
+}
+
+impl Observers {
+    fn attach(self, eng: &mut Engine) {
+        if let Some(p) = self.probe {
+            eng.attach_probe(p);
+        }
+        if let Some(t) = self.trace {
+            eng.attach_trace(t);
+        }
+        if let Some(l) = self.ledger {
+            eng.attach_ledger(l);
+        }
+    }
+}
+
+/// The shared synthetic-run core: resolves the shard count, runs the
+/// serial engine at `k = 1` and the window coordinator otherwise.
+/// Called by every `run_synthetic_sharded*` entry point and the sweeps'
+/// `PointRunner`.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+pub(crate) fn run_sharded_inner(
+    net: &Network,
+    policy: &RoutePolicy,
+    pattern: &d2net_traffic::SyntheticPattern,
+    schedule: Option<&FaultSchedule>,
+    load: f64,
+    end_ps: u64,
+    warmup_ps: u64,
+    cfg: SimConfig,
+    probe: Option<ProbeConfig>,
+    trace: Option<TraceConfig>,
+    ledger: Option<LedgerConfig>,
+) -> Result<
+    (
+        SyntheticStats,
+        Option<TelemetryReport>,
+        Option<EngineTrace>,
+        Option<EngineLedger>,
+    ),
+    String,
+> {
+    let policies = schedule
+        .map(|s| resolve_fault_policies(net, policy, s))
+        .unwrap_or_default();
+    let fault_at_zero = schedule.is_some_and(|s| s.events().iter().any(|e| e.t_ns == 0));
+    let k = effective_shards(net, policy, &cfg, fault_at_zero);
+    let observers = Observers {
+        probe,
+        trace,
+        ledger,
+    };
+    // Every shard derives the run's randomness from an identically
+    // seeded master RNG and an identical source vector, so a node's
+    // stochastic stream is the same no matter which shard owns it (see
+    // `derive_node_rngs`).
+    let build = |lo: u32, hi: u32, cfg: SimConfig, first: bool| {
+        let faults = schedule
+            .map(|s| engine_faults(net, s, &policies))
+            .unwrap_or_default();
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
+        let mut eng =
+            Engine::build_shard(net, policy, cfg, sources, warmup_ps, rng, faults, lo, hi, first)?;
+        observers.attach(&mut eng);
+        Ok(eng)
+    };
+
+    if k <= 1 {
+        let mut eng = build(0, net.num_routers(), cfg, true)?;
+        let (stats, tel) = eng.run_synthetic_to(load, end_ps);
+        return Ok((stats, tel, eng.take_trace(), eng.take_ledger()));
+    }
+    // The static preflight pass is shard-independent; run it once here
+    // rather than once per shard build.
+    let cfg = try_preflight_once(net, policy, cfg)?;
+    let fault_times: Vec<u64> = schedule
+        .map(|s| s.events().iter().map(|e| e.t_ns * 1_000).collect())
+        .unwrap_or_default();
+    let (mut eng, wedged, forensics) =
+        run_windows(net, cfg, k, Some(end_ps), &fault_times, build)?;
+    let telemetry = eng.take_probe_report_with(forensics);
+    let stats = eng.synthetic_stats(load, end_ps, wedged);
+    Ok((stats, telemetry, eng.take_trace(), eng.take_ledger()))
+}
+
+/// The shared exchange core behind [`crate::run_exchange`] and its
+/// probed and traced forms. Each node gets its exchange source (a shard
+/// holds an idle one for nodes it does not own); the serial engine runs
+/// at `k = 1` and the window coordinator otherwise, with no horizon.
+pub(crate) fn run_exchange_inner(
+    net: &Network,
+    policy: &RoutePolicy,
+    exchange: &d2net_traffic::Exchange,
+    window: usize,
+    cfg: SimConfig,
+    probe: Option<ProbeConfig>,
+    trace: Option<TraceConfig>,
+) -> (ExchangeStats, Option<TelemetryReport>, Option<EngineTrace>) {
+    invariant!(
+        exchange.sends.len() == net.num_nodes() as usize,
+        "exchange pattern must cover every node ({} send lists, {} nodes)",
+        exchange.sends.len(),
+        net.num_nodes()
+    );
+    let total_bytes = exchange.total_bytes();
+    let observers = Observers {
+        probe,
+        trace,
+        ledger: None,
+    };
+    let build = |lo: u32, hi: u32, cfg: SimConfig, first: bool| {
+        let sources = (0..net.num_nodes())
+            .map(|n| {
+                let r = net.node_router(n);
+                if r >= lo && r < hi {
+                    NodeSource::exchange(exchange, n, window, cfg.packet_bytes)
+                } else {
+                    NodeSource::idle_exchange(cfg.packet_bytes)
+                }
+            })
+            .collect();
+        let rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut eng =
+            Engine::build_shard(net, policy, cfg, sources, 0, rng, Vec::new(), lo, hi, first)?;
+        observers.attach(&mut eng);
+        Ok(eng)
+    };
+
+    let k = effective_shards(net, policy, &cfg, false);
+    let run = if k <= 1 {
+        build(0, net.num_routers(), cfg, true).map(|eng| eng.finish_exchange_traced(total_bytes))
+    } else {
+        try_preflight_once(net, policy, cfg)
+            .and_then(|cfg| run_windows(net, cfg, k, None, &[], build))
+            .map(|(mut eng, wedged, forensics)| {
+                let telemetry = eng.take_probe_report_with(forensics);
+                let (stats, trace) = eng.exchange_stats(total_bytes, wedged);
+                (stats, telemetry, trace)
+            })
+    };
+    run.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Validates the measurement window and converts to engine units —

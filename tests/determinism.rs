@@ -11,15 +11,17 @@
 //! 4. sweep points must equal standalone runs with the derived per-point
 //!    seeds — the guard that engine reuse (`Engine::reset`) leaks no
 //!    state between points;
-//! 5. the sharded runner (`run_synthetic_sharded*`) must be
-//!    byte-identical to serial at every shard count — stats, telemetry,
-//!    traces (modulo the queue-internal calendar counters, which are
-//!    shard-local by construction), ledgers, and faulted runs alike —
-//!    and sharded sweeps must equal serial sweeps point for point.
+//! 5. the sharded runner (`run_synthetic_sharded*`, and `run_exchange*`
+//!    on the same window coordinator) must be byte-identical to serial at
+//!    every shard count — stats, telemetry, traces (modulo the
+//!    queue-internal calendar counters, which are shard-local by
+//!    construction), ledgers, faulted runs and budget trips alike — and
+//!    sharded sweeps must equal serial sweeps point for point.
 
 use d2net::prelude::*;
 use d2net::routing::{IntermediateSet, VcScheme};
 use d2net::topo::TopologyKind;
+use d2net::traffic::{all_to_all_shuffled, nearest_neighbor, torus_dims_for, Exchange};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -102,22 +104,51 @@ fn calendar_queue_matches_heap_on_synthetic_runs() {
     }
 }
 
+/// The Figs. 13/14 collectives at test scale: the nearest-neighbour
+/// exchange (window 6) and the shuffled all-to-all (window 1).
+fn exchanges(net: &Network) -> Vec<(Exchange, usize, &'static str)> {
+    let mut nn = nearest_neighbor(torus_dims_for(net), 2_048);
+    // Ranks beyond the torus stay silent, as in `experiment::fig14`.
+    nn.sends.resize(net.num_nodes() as usize, Vec::new());
+    let a2a = all_to_all_shuffled(net.num_nodes(), 512, 7);
+    vec![(nn, 6, "NN"), (a2a, 1, "A2A")]
+}
+
+fn exchange_algorithms(net: &Network) -> [Algorithm; 3] {
+    [Algorithm::Minimal, Algorithm::Valiant, best_adaptive(net).1]
+}
+
+/// The heap queue is the unsharded reference: the calendar queue must
+/// reproduce it on exchanges run serially and through the shard
+/// coordinator at every explicit shard count.
 #[test]
 fn calendar_queue_matches_heap_on_exchanges() {
-    let net = mlfm(4);
-    let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-    let ex = d2net::traffic::all_to_all_shuffled(net.num_nodes(), 512, 7);
-    let run = |queue: EventQueueKind| {
-        let cfg = SimConfig {
-            event_queue: queue,
-            ..Default::default()
-        };
-        run_exchange(&net, &policy, &ex, 1, cfg)
-    };
-    let cal = run(EventQueueKind::Calendar);
-    let heap = run(EventQueueKind::Heap);
-    assert_eq!(cal, heap, "queues disagree on an exchange");
-    assert!(!cal.deadlocked);
+    for net in [mlfm(4), slim_fly(5, SlimFlyP::Floor)] {
+        for (ex, window, tag) in exchanges(&net) {
+            for alg in exchange_algorithms(&net) {
+                let policy = RoutePolicy::new(&net, alg);
+                let run = |queue: EventQueueKind, shards: u32| {
+                    let cfg = SimConfig {
+                        event_queue: queue,
+                        shards,
+                        ..Default::default()
+                    };
+                    run_exchange(&net, &policy, &ex, window, cfg)
+                };
+                let heap = run(EventQueueKind::Heap, 1);
+                assert!(!heap.deadlocked, "{} {tag} {alg:?}", net.name());
+                assert_eq!(heap.delivered_bytes, ex.total_bytes());
+                for k in [1u32, 2, 3, 5] {
+                    assert_eq!(
+                        run(EventQueueKind::Calendar, k),
+                        heap,
+                        "{} {tag} {alg:?}: calendar queue at {k} shards disagrees with the heap",
+                        net.name()
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The canonical wedging config (single-VC 5-ring, tiny buffers): the
@@ -559,6 +590,79 @@ fn sharded_wedge_detection_matches_serial() {
         );
         assert_eq!(stats, serial_stats, "{k}-shard wedge stats");
         assert_eq!(tel, serial_tel, "{k}-shard wedge forensics");
+    }
+}
+
+/// Sharded exchanges carry the observers through the coordinator: the
+/// probe report and the trace (modulo the calendar's shard-local
+/// counters) equal serial's at every shard count.
+#[test]
+fn sharded_exchange_probes_and_traces_match_serial() {
+    let probe = ProbeConfig::default();
+    for net in [mlfm(4), slim_fly(5, SlimFlyP::Floor)] {
+        for (ex, window, tag) in exchanges(&net) {
+            for alg in exchange_algorithms(&net) {
+                let policy = RoutePolicy::new(&net, alg);
+                let label = format!("{} {tag} {alg:?}", net.name());
+                let (stats, tel) =
+                    run_exchange_probed(&net, &policy, &ex, window, sharded_cfg(1), probe);
+                let (traced_stats, mut trace) = run_exchange_traced(
+                    &net, &policy, &ex, window, sharded_cfg(1), TraceConfig::default(),
+                );
+                assert_eq!(traced_stats, stats, "{label}: observers perturbed the run");
+                assert!(tel.num_samples > 0 && !trace.flights.is_empty(), "{label}");
+                trace.counters.calendar = None;
+                for k in [2u32, 3, 5] {
+                    let (s, t) =
+                        run_exchange_probed(&net, &policy, &ex, window, sharded_cfg(k), probe);
+                    assert_eq!(s, stats, "{label}: {k}-shard probed stats");
+                    assert_eq!(t, tel, "{label}: {k}-shard telemetry");
+                    let (s, mut tr) = run_exchange_traced(
+                        &net, &policy, &ex, window, sharded_cfg(k), TraceConfig::default(),
+                    );
+                    assert_eq!(s, stats, "{label}: {k}-shard traced stats");
+                    assert!(tr.counters.calendar.take().is_some(), "{label}: calendar stats");
+                    assert_eq!(tr, trace, "{label}: {k}-shard trace");
+                }
+            }
+        }
+    }
+}
+
+/// An event budget is checked where conservative windows end, in the
+/// serial loop and the shard coordinator alike, so a budget-exhausted
+/// run stops after the same event at every shard count: an exchange
+/// reports the same partial stats, a synthetic run the same exhausted
+/// stats.
+#[test]
+fn sharded_budget_trips_after_the_same_event_as_serial() {
+    let net = mlfm(4);
+    let policy = RoutePolicy::new(&net, Algorithm::Minimal);
+    let (ex, window, _) = exchanges(&net).swap_remove(0);
+    let (complete, trace) = run_exchange_traced(
+        &net, &policy, &ex, window, sharded_cfg(1), TraceConfig::default(),
+    );
+    let budgeted = |shards: u32, max_events: u64| SimConfig {
+        shards,
+        budget: RunBudget::events(max_events),
+        ..SimConfig::default()
+    };
+    let half = trace.counters.events_popped / 2;
+    let serial = run_exchange(&net, &policy, &ex, window, budgeted(1, half));
+    assert!(serial.deadlocked, "a half-spent budget must stop the exchange early");
+    assert!(serial.delivered_bytes > 0 && serial.delivered_bytes < complete.delivered_bytes);
+    for k in [2u32, 3] {
+        let sharded = run_exchange(&net, &policy, &ex, window, budgeted(k, half));
+        assert_eq!(sharded, serial, "{k}-shard budget-exhausted exchange");
+    }
+
+    let pattern = SyntheticPattern::Uniform;
+    let serial = run_synthetic(&net, &policy, &pattern, 0.6, 20_000, 4_000, budgeted(1, 5_000));
+    assert!(serial.exhausted && !serial.deadlocked);
+    for k in [2u32, 5] {
+        let sharded =
+            run_synthetic_sharded(&net, &policy, &pattern, 0.6, 20_000, 4_000, budgeted(k, 5_000));
+        assert_eq!(sharded, serial, "{k}-shard budget-exhausted synthetic run");
     }
 }
 
