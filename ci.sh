@@ -96,6 +96,9 @@ cargo test -q --release --test determinism -- --test-threads=1
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny rustdoc warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== static verification gate (paper-standard configs) =="
 cargo run --release --example d2net-verify -- --paper-gate
 

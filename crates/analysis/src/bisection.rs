@@ -1,7 +1,7 @@
 //! Approximate bisection bandwidth via balanced min-cut graph
 //! partitioning (paper §2.3.2, Fig. 4).
 //!
-//! The paper uses METIS [10]; we implement a Fiduccia–Mattheyses
+//! The paper uses METIS \[10\]; we implement a Fiduccia–Mattheyses
 //! refinement with random restarts — the same class of balanced min-cut
 //! heuristic — which reproduces the reported ordering and approximate
 //! magnitudes. Routers are weighted by their attached end-nodes so the

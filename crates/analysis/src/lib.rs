@@ -5,7 +5,7 @@
 //!
 //! - [`scale`]: the Fig. 3 scalability/cost comparison and Moore-bound
 //!   fractions;
-//! - [`bisection`]: Fiduccia–Mattheyses balanced min-cut bisection — the
+//! - [`bisection`](mod@bisection): Fiduccia–Mattheyses balanced min-cut bisection — the
 //!   Fig. 4 bisection-bandwidth approximation (METIS substitute);
 //! - [`diversity`]: the §2.3.3 shortest-path-diversity census;
 //! - [`linkload`]: static channel-load analysis predicting the §4.2

@@ -5,10 +5,10 @@
 //! Where `BENCH_sweep.json` measures *point-level* parallelism (many
 //! independent runs), this measures *shard-level* parallelism inside a
 //! single run (DESIGN.md §14): the same (topology, load) case is run
-//! once through the serial engine and once per requested shard count
-//! through [`run_synthetic_sharded_traced`], asserting identical
-//! [`SyntheticStats`] and event totals every time (the determinism
-//! gate), and recording events/second for each. Cases come in two
+//! once through the serial engine (an explicit single shard) and once
+//! per requested shard count through [`run_synthetic_traced`], asserting
+//! identical [`SyntheticStats`] and event totals every time (the
+//! determinism gate), and recording events/second for each. Cases come in two
 //! tiers: the reduced evaluation instances (~400-600 nodes) and the
 //! paper's §4.1 CORAL-class instances (~3.0-3.6 K nodes), where
 //! single-run parallelism is the only way to shorten one long run.
@@ -127,6 +127,10 @@ fn counters_only() -> TraceConfig {
 pub fn time_engine_case(case: &EngineCase, shard_counts: &[u32]) -> TimedEngine {
     let policy = RoutePolicy::new(&case.net, case.algo);
 
+    let serial_cfg = SimConfig {
+        shards: 1,
+        ..case.sim
+    };
     let t0 = Instant::now();
     let (serial_stats, serial_trace) = run_synthetic_traced(
         &case.net,
@@ -135,7 +139,7 @@ pub fn time_engine_case(case: &EngineCase, shard_counts: &[u32]) -> TimedEngine 
         case.load,
         case.duration_ns,
         case.warmup_ns,
-        case.sim,
+        serial_cfg,
         counters_only(),
     );
     let serial_ms = t0.elapsed().as_secs_f64() * 1_000.0;
@@ -146,7 +150,7 @@ pub fn time_engine_case(case: &EngineCase, shard_counts: &[u32]) -> TimedEngine 
         let mut cfg = case.sim;
         cfg.shards = k;
         let t1 = Instant::now();
-        let (stats, trace) = run_synthetic_sharded_traced(
+        let (stats, trace) = run_synthetic_traced(
             &case.net,
             &policy,
             &case.pattern,

@@ -9,7 +9,7 @@
 //!   actually reached (peak accepted throughput over non-deadlocked
 //!   points);
 //! - [`link_residuals`] maps a telemetry probe's per-port mean
-//!   utilizations onto the oracle's [`LinkIndex`](d2net_analysis::LinkIndex)
+//!   utilizations onto the oracle's [`LinkIndex`]
 //!   order and reports `measured − predicted` residuals at the probe
 //!   load;
 //! - [`divergence_gate`] turns both into a [`DivergenceSummary`] for the
@@ -93,7 +93,7 @@ pub struct LinkResiduals {
 /// The mapping relies on the engine's port numbering: router `r` owns a
 /// contiguous port range whose first `degree(r)` entries are network
 /// ports in adjacency order — exactly the order
-/// [`LinkIndex`](d2net_analysis::LinkIndex) assigns to directed links.
+/// [`LinkIndex`] assigns to directed links.
 /// A static load of `x` node injection rates predicts a utilization of
 /// `probe_load · x` (one node rate saturates one link), which is what
 /// the residual is taken against.

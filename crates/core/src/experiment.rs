@@ -6,9 +6,9 @@ use crate::configs::RunParams;
 use d2net_analysis::{bisection, scale_table, ScaleRow};
 use d2net_routing::{Algorithm, RoutePolicy};
 use d2net_sim::{
-    load_sweep, load_sweep_collect, load_sweep_ledgered_collect, load_sweep_traced_collect,
-    par_curves, par_load_sweep_ledgered_collect, par_load_sweep_traced_collect, run_exchange,
-    ExchangeStats, LedgerConfig, PointLedger, PointTrace, SweepNotice, SweepPoint, TraceConfig,
+    load_sweep, load_sweep_collect, par_curves, par_load_sweep_ledgered_collect,
+    par_load_sweep_traced_collect, run_exchange, ExchangeStats, LedgerConfig, PointLedger,
+    PointTrace, SweepNotice, SweepPoint, TraceConfig,
 };
 use d2net_topo::{mlfm, oft, slim_fly, Network, SlimFlyP, TopologyKind};
 use d2net_traffic::{
@@ -110,10 +110,10 @@ pub struct TracedCurve {
     pub notices: Vec<SweepNotice>,
 }
 
-/// Runs one traced load sweep — serial when `threads == 1`, fanned
-/// across the worker pool otherwise. Both paths return byte-identical
-/// traces (the parallel merge is by point index), which
-/// `tests/trace.rs` pins down.
+/// Runs one traced load sweep on `threads` workers (`1` = on the
+/// caller's thread). The traces are byte-identical at every thread
+/// count (the merge is by point index), which `tests/trace.rs` pins
+/// down.
 #[allow(clippy::too_many_arguments)]
 pub fn traced_curve(
     net: &Network,
@@ -124,30 +124,17 @@ pub fn traced_curve(
     trace: TraceConfig,
     threads: usize,
 ) -> TracedCurve {
-    let (out, traces) = if threads == 1 {
-        load_sweep_traced_collect(
-            net,
-            policy,
-            pattern,
-            &params.loads,
-            params.duration_ns,
-            params.warmup_ns,
-            params.sim,
-            trace,
-        )
-    } else {
-        par_load_sweep_traced_collect(
-            net,
-            policy,
-            pattern,
-            &params.loads,
-            params.duration_ns,
-            params.warmup_ns,
-            params.sim,
-            trace,
-            threads,
-        )
-    };
+    let (out, traces) = par_load_sweep_traced_collect(
+        net,
+        policy,
+        pattern,
+        &params.loads,
+        params.duration_ns,
+        params.warmup_ns,
+        params.sim,
+        trace,
+        threads,
+    );
     TracedCurve {
         curve: Curve {
             label: label.into(),
@@ -169,10 +156,10 @@ pub struct LedgeredCurve {
     pub notices: Vec<SweepNotice>,
 }
 
-/// Runs one decision-ledgered load sweep — serial when `threads == 1`,
-/// fanned across the worker pool otherwise. Both paths return
-/// byte-identical ledgers (the parallel merge is by point index), which
-/// `tests/decisions.rs` pins down.
+/// Runs one decision-ledgered load sweep on `threads` workers (`1` = on
+/// the caller's thread). The ledgers are byte-identical at every thread
+/// count (the merge is by point index), which `tests/decisions.rs` pins
+/// down.
 #[allow(clippy::too_many_arguments)]
 pub fn ledgered_curve(
     net: &Network,
@@ -183,30 +170,17 @@ pub fn ledgered_curve(
     ledger: LedgerConfig,
     threads: usize,
 ) -> LedgeredCurve {
-    let (out, ledgers) = if threads == 1 {
-        load_sweep_ledgered_collect(
-            net,
-            policy,
-            pattern,
-            &params.loads,
-            params.duration_ns,
-            params.warmup_ns,
-            params.sim,
-            ledger,
-        )
-    } else {
-        par_load_sweep_ledgered_collect(
-            net,
-            policy,
-            pattern,
-            &params.loads,
-            params.duration_ns,
-            params.warmup_ns,
-            params.sim,
-            ledger,
-            threads,
-        )
-    };
+    let (out, ledgers) = par_load_sweep_ledgered_collect(
+        net,
+        policy,
+        pattern,
+        &params.loads,
+        params.duration_ns,
+        params.warmup_ns,
+        params.sim,
+        ledger,
+        threads,
+    );
     LedgeredCurve {
         curve: Curve {
             label: label.into(),

@@ -207,7 +207,8 @@ pub fn resilience_sweep(
 /// every simulated point; traced points come back as [`PointTrace`]s
 /// whose `load` field carries the **failure fraction** (the sweep's
 /// x-axis). Rejected points are skipped, identically serial and
-/// parallel.
+/// parallel. This is [`resilience_sweep_traced_par`] on the caller's
+/// thread.
 #[allow(clippy::too_many_arguments)]
 pub fn resilience_sweep_traced(
     net: &Network,
@@ -220,30 +221,8 @@ pub fn resilience_sweep_traced(
     cfg: SimConfig,
     trace: Option<TraceConfig>,
 ) -> (ResilienceCurve, Vec<PointTrace>) {
-    let mut points = Vec::with_capacity(fractions.len());
-    let mut notices = Vec::new();
-    let mut traces = Vec::new();
-    for (idx, &fraction) in fractions.iter().enumerate() {
-        let (point, notice, tr) = resilience_point(
-            net, algorithm, pattern, load, fraction, idx, duration_ns, warmup_ns, cfg, trace,
-        );
-        points.push(point);
-        notices.extend(notice);
-        if let Some(tr) = tr {
-            traces.push(PointTrace {
-                index: idx,
-                load: fraction,
-                trace: tr,
-            });
-        }
-    }
-    (
-        ResilienceCurve {
-            label: curve_label(net, algorithm, load),
-            points,
-            notices,
-        },
-        traces,
+    resilience_sweep_traced_par(
+        net, algorithm, pattern, load, fractions, duration_ns, warmup_ns, cfg, trace, 1,
     )
 }
 

@@ -35,7 +35,7 @@ impl Poly {
         self.coeffs.is_empty()
     }
 
-    /// Addition in GF(p)[x].
+    /// Addition in GF(p)\[x\].
     pub fn add(&self, other: &Poly, p: u64) -> Poly {
         let n = self.coeffs.len().max(other.coeffs.len());
         let mut out = vec![0u64; n];
@@ -47,7 +47,7 @@ impl Poly {
         Poly::new(out)
     }
 
-    /// Multiplication in GF(p)[x] (schoolbook; degrees here are tiny).
+    /// Multiplication in GF(p)\[x\] (schoolbook; degrees here are tiny).
     pub fn mul(&self, other: &Poly, p: u64) -> Poly {
         if self.is_zero() || other.is_zero() {
             return Poly::zero();
@@ -64,7 +64,7 @@ impl Poly {
         Poly::new(out)
     }
 
-    /// Remainder of `self` divided by monic-normalizable `divisor` in GF(p)[x].
+    /// Remainder of `self` divided by monic-normalizable `divisor` in GF(p)\[x\].
     ///
     /// Panics if `divisor` is zero.
     pub fn rem(&self, divisor: &Poly, p: u64) -> Poly {

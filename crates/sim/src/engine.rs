@@ -28,6 +28,7 @@ use crate::equeue::{CalendarQueue, CalendarStats, EventQ};
 use crate::fault::FaultSchedule;
 use crate::injector::{NextPacket, NodeSource, PacketSpec};
 use crate::ledger::{DecisionLedger, EngineLedger, LedgerConfig};
+use crate::shard::{run_sharded_inner, Observers};
 use crate::stats::{Accumulator, ExchangeStats, SyntheticStats};
 use crate::telemetry::{
     DeadlockReport, ProbeConfig, Telemetry, TelemetryReport, WaitPoint, WaitSide,
@@ -565,8 +566,9 @@ pub struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     /// Builds an engine; `sources` must hold one [`NodeSource`] per node.
-    /// Panics where [`Engine::try_new`] returns an error — kept for the
-    /// single-run entry points whose configs are caller-validated.
+    /// Panics where [`Engine::try_new`] returns an error — for the sweeps'
+    /// reusable point engine, whose config is validated once up front,
+    /// and for callers that drive an engine by hand.
     pub fn new(
         net: &'a Network,
         policy: &'a RoutePolicy,
@@ -594,8 +596,8 @@ impl<'a> Engine<'a> {
         Self::build(net, policy, cfg, sources, warmup_ps, rng, Vec::new())
     }
 
-    /// [`Engine::try_new`] plus a mid-run fault schedule, pre-resolved by
-    /// [`crate::run_synthetic_faulted`]: each [`EngineFault`] fires as an
+    /// [`Engine::try_new`] plus a mid-run fault schedule, pre-resolved as
+    /// [`crate::run_synthetic_faulted`] does: each [`EngineFault`] fires as an
     /// ordinary event at its time. VC buffers are provisioned for the
     /// maximum VC count across the initial policy and every repaired
     /// policy, so packets routed before and after a failure coexist.
@@ -2106,21 +2108,6 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Consumes the engine after a synthetic run.
-    pub fn finish_synthetic(self, load: f64, end_ps: u64) -> SyntheticStats {
-        self.finish_synthetic_probed(load, end_ps).0
-    }
-
-    /// Like [`Engine::finish_synthetic`], also returning the telemetry
-    /// report when a probe was attached.
-    pub fn finish_synthetic_probed(
-        mut self,
-        load: f64,
-        end_ps: u64,
-    ) -> (SyntheticStats, Option<TelemetryReport>) {
-        self.run_synthetic_to(load, end_ps)
-    }
-
     /// Runs one synthetic workload to `end_ps` **without consuming the
     /// engine**: afterwards [`Engine::reset`] rewinds it for the next
     /// point of a sweep, reusing every allocation.
@@ -2461,6 +2448,11 @@ pub(crate) fn synthetic_sources(
 /// `load` is the per-node offered load as a fraction of link bandwidth;
 /// the system is simulated for `duration_ns` with statistics collected
 /// after `warmup_ns` (paper §4.1: 200 µs with a 20 µs warm-up).
+///
+/// The run is sharded in conservative time windows when
+/// [`crate::plan_shards`] says so (by default on networks of 128 routers
+/// or more; see [`crate::shard`]), with output byte-identical to the
+/// serial engine's at every shard count.
 pub fn run_synthetic(
     net: &Network,
     policy: &RoutePolicy,
@@ -2470,12 +2462,10 @@ pub fn run_synthetic(
     warmup_ns: u64,
     cfg: SimConfig,
 ) -> SyntheticStats {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns).unwrap_or_else(|e| panic!("{e}"));
-    let end_ps = duration_ns * 1_000;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
-    let engine = Engine::new(net, policy, cfg, sources, warmup_ns * 1_000, rng);
-    engine.finish_synthetic(load, end_ps)
+    let observers = Observers::default();
+    run_sharded_inner(net, policy, pattern, None, load, duration_ns, warmup_ns, cfg, observers)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .stats
 }
 
 /// [`run_synthetic`] with an observability probe attached: identical
@@ -2491,19 +2481,21 @@ pub fn run_synthetic_probed(
     cfg: SimConfig,
     probe: ProbeConfig,
 ) -> (SyntheticStats, TelemetryReport) {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns).unwrap_or_else(|e| panic!("{e}"));
-    let end_ps = duration_ns * 1_000;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
-    let mut engine = Engine::new(net, policy, cfg, sources, warmup_ns * 1_000, rng);
-    engine.attach_probe(probe);
-    let (stats, telemetry) = engine.finish_synthetic_probed(load, end_ps);
-    (stats, telemetry.expect("probe was attached"))
+    let observers = Observers {
+        probe: Some(probe),
+        ..Observers::default()
+    };
+    let out =
+        run_sharded_inner(net, policy, pattern, None, load, duration_ns, warmup_ns, cfg, observers)
+            .unwrap_or_else(|e| panic!("{e}"));
+    (out.stats, out.telemetry.expect("probe was attached"))
 }
 
 /// [`run_synthetic`] with a structured trace recorder attached:
 /// identical simulated schedule and byte-identical stats, plus the
 /// deterministic [`EngineTrace`] of the run (see [`crate::trace`]).
+/// Sharded, the trace equals serial's except for the calendar queue's
+/// internal counters.
 #[allow(clippy::too_many_arguments)]
 pub fn run_synthetic_traced(
     net: &Network,
@@ -2515,15 +2507,14 @@ pub fn run_synthetic_traced(
     cfg: SimConfig,
     trace: TraceConfig,
 ) -> (SyntheticStats, EngineTrace) {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns).unwrap_or_else(|e| panic!("{e}"));
-    let end_ps = duration_ns * 1_000;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
-    let mut engine = Engine::new(net, policy, cfg, sources, warmup_ns * 1_000, rng);
-    engine.attach_trace(trace);
-    let (stats, _) = engine.run_synthetic_to(load, end_ps);
-    let trace = engine.take_trace().expect("trace was attached");
-    (stats, trace)
+    let observers = Observers {
+        trace: Some(trace),
+        ..Observers::default()
+    };
+    let out =
+        run_sharded_inner(net, policy, pattern, None, load, duration_ns, warmup_ns, cfg, observers)
+            .unwrap_or_else(|e| panic!("{e}"));
+    (out.stats, out.trace.expect("trace was attached"))
 }
 
 /// [`run_synthetic`] with a routing-decision ledger attached: identical
@@ -2540,15 +2531,14 @@ pub fn run_synthetic_ledgered(
     cfg: SimConfig,
     ledger: LedgerConfig,
 ) -> (SyntheticStats, EngineLedger) {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns).unwrap_or_else(|e| panic!("{e}"));
-    let end_ps = duration_ns * 1_000;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
-    let mut engine = Engine::new(net, policy, cfg, sources, warmup_ns * 1_000, rng);
-    engine.attach_ledger(ledger);
-    let (stats, _) = engine.run_synthetic_to(load, end_ps);
-    let ledger = engine.take_ledger().expect("ledger was attached");
-    (stats, ledger)
+    let observers = Observers {
+        ledger: Some(ledger),
+        ..Observers::default()
+    };
+    let out =
+        run_sharded_inner(net, policy, pattern, None, load, duration_ns, warmup_ns, cfg, observers)
+            .unwrap_or_else(|e| panic!("{e}"));
+    (out.stats, out.ledger.expect("ledger was attached"))
 }
 
 /// [`run_synthetic`] under a mid-run [`FaultSchedule`]: each event's
@@ -2559,7 +2549,8 @@ pub fn run_synthetic_ledgered(
 /// before being dropped; see [`SyntheticStats::dropped_packets`] and
 /// [`SyntheticStats::retried_packets`]. Configuration problems (rejected
 /// preflight, undersized buffers, warm-up ≥ duration, unsorted schedule)
-/// come back as a coded `Err`.
+/// come back as a coded `Err`. Sharded, the faults are applied at window
+/// barriers; a schedule with an event at `t = 0` runs serial.
 #[allow(clippy::too_many_arguments)]
 pub fn run_synthetic_faulted(
     net: &Network,
@@ -2571,10 +2562,10 @@ pub fn run_synthetic_faulted(
     warmup_ns: u64,
     cfg: SimConfig,
 ) -> Result<SyntheticStats, String> {
-    run_synthetic_faulted_inner(
-        net, policy, pattern, schedule, load, duration_ns, warmup_ns, cfg, None,
-    )
-    .map(|(stats, _)| stats)
+    let schedule = Some(schedule);
+    let observers = Observers::default();
+    run_sharded_inner(net, policy, pattern, schedule, load, duration_ns, warmup_ns, cfg, observers)
+        .map(|out| out.stats)
 }
 
 /// [`run_synthetic_faulted`] with an observability probe attached: the
@@ -2592,44 +2583,13 @@ pub fn run_synthetic_faulted_probed(
     cfg: SimConfig,
     probe: ProbeConfig,
 ) -> Result<(SyntheticStats, TelemetryReport), String> {
-    run_synthetic_faulted_inner(
-        net,
-        policy,
-        pattern,
-        schedule,
-        load,
-        duration_ns,
-        warmup_ns,
-        cfg,
-        Some(probe),
-    )
-    .map(|(stats, tel)| (stats, tel.expect("probe was attached")))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_synthetic_faulted_inner(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    schedule: &FaultSchedule,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: Option<ProbeConfig>,
-) -> Result<(SyntheticStats, Option<TelemetryReport>), String> {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns)?;
-    let end_ps = duration_ns * 1_000;
-    let policies = resolve_fault_policies(net, policy, schedule);
-    let faults = engine_faults(net, schedule, &policies);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
-    let mut engine =
-        Engine::try_new_faulted(net, policy, cfg, sources, warmup_ns * 1_000, rng, faults)?;
-    if let Some(p) = probe {
-        engine.attach_probe(p);
-    }
-    Ok(engine.run_synthetic_to(load, end_ps))
+    let observers = Observers {
+        probe: Some(probe),
+        ..Observers::default()
+    };
+    let schedule = Some(schedule);
+    run_sharded_inner(net, policy, pattern, schedule, load, duration_ns, warmup_ns, cfg, observers)
+        .map(|out| (out.stats, out.telemetry.expect("probe was attached")))
 }
 
 /// Pre-resolves a [`FaultSchedule`]: for each event, a policy repaired
@@ -2688,7 +2648,7 @@ pub fn run_exchange(
     window: usize,
     cfg: SimConfig,
 ) -> ExchangeStats {
-    crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, None, None).0
+    crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, Observers::default()).0
 }
 
 /// [`run_exchange`] with an observability probe attached; the report is
@@ -2701,8 +2661,12 @@ pub fn run_exchange_probed(
     cfg: SimConfig,
     probe: ProbeConfig,
 ) -> (ExchangeStats, TelemetryReport) {
+    let observers = Observers {
+        probe: Some(probe),
+        ..Observers::default()
+    };
     let (stats, tel, _) =
-        crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, Some(probe), None);
+        crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, observers);
     (stats, tel.expect("probe was attached"))
 }
 
@@ -2719,7 +2683,11 @@ pub fn run_exchange_traced(
     cfg: SimConfig,
     trace: TraceConfig,
 ) -> (ExchangeStats, EngineTrace) {
+    let observers = Observers {
+        trace: Some(trace),
+        ..Observers::default()
+    };
     let (stats, _, tr) =
-        crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, None, Some(trace));
+        crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, observers);
     (stats, tr.expect("trace was attached"))
 }

@@ -3,7 +3,7 @@
 //!
 //! The engine can attach a [`DecisionLedger`] that captures, for every
 //! non-trivial injection-time routing decision, the
-//! [`DecisionRecord`](d2net_routing::DecisionRecord) produced by
+//! [`DecisionRecord`] produced by
 //! [`RoutePolicy::try_choose_recorded`](d2net_routing::RoutePolicy::try_choose_recorded):
 //! the occupancies consulted, every indirect candidate costed, and the
 //! verdict. Aggregates (per-source-router misroute counts, divergence

@@ -10,22 +10,27 @@
 //! - [`run_synthetic`] — steady-state uniform / permutation traffic with
 //!   warm-up, reporting accepted throughput and mean packet delay;
 //! - [`run_exchange`] — fixed-size collective exchanges (A2A / NN) run to
-//!   completion, reporting effective throughput; on large networks they
-//!   run sharded, like synthetic runs (see [`shard`]);
-//! - [`sweep::load_sweep`] — the offered-load axes of Figs. 6–12;
-//! - [`run_synthetic_probed`] / [`run_exchange_probed`] /
-//!   [`sweep::load_sweep_probed`] — the same runs with an observability
-//!   probe attached (see [`telemetry`]): utilization/occupancy series,
-//!   per-router event rings and deadlock forensics;
-//! - [`par::par_load_sweep`] / [`par::par_curves`] — the same sweeps fanned
-//!   out across a scoped worker pool, byte-identical to the serial runs
-//!   (per-point seeds are index-derived; see [`par`]);
-//! - [`run_synthetic_sharded`] and friends — single runs partitioned
-//!   across router shards in conservative time windows, byte-identical
-//!   to serial at any shard count (see [`shard`]); the sweeps compose
-//!   shard- with point-level parallelism under one thread budget. The
-//!   `run_exchange*` entry points share the same window coordinator,
-//!   ending an exchange when every queue and mailbox has drained.
+//!   completion, reporting effective throughput;
+//! - [`run_synthetic_probed`] / [`run_exchange_probed`] — the same runs
+//!   with an observability probe attached (see [`telemetry`]):
+//!   utilization/occupancy series, per-router event rings and deadlock
+//!   forensics; the `_traced` and `_ledgered` forms attach a trace
+//!   recorder or a decision ledger instead, and the `_faulted` forms
+//!   add a mid-run fault schedule. On large networks every single run is
+//!   partitioned across router shards in conservative time windows,
+//!   byte-identical to serial at any shard count (see [`shard`]);
+//! - [`sweep::load_sweep`] / [`load_sweep_collect`] — the offered-load
+//!   axes of Figs. 6–12;
+//! - [`par::par_load_sweep_collect`] and its `_probed`, `_traced` and
+//!   `_ledgered` forms — the same sweeps fanned out across a scoped
+//!   worker pool, byte-identical at every thread count (per-point seeds
+//!   are index-derived; see [`par`]); [`par::par_curves`] fans out whole
+//!   curves;
+//! - [`supervised_load_sweep_collect`] / [`supervised_load_sweep_hooked`]
+//!   — sweeps with retries, chaos, resume and a stop signal (see
+//!   [`supervise`]). Serial, parallel and supervised sweeps all run
+//!   through the one driver there, which composes shard- with
+//!   point-level parallelism under one thread budget.
 
 pub mod config;
 pub mod engine;
@@ -56,24 +61,28 @@ pub use ledger::{
     PortHeat, RouterDecisionStats, LEDGER_TOP_N, MARGIN_BOUNDS_BYTES,
 };
 pub use par::{
-    par_curves, par_load_sweep, par_load_sweep_collect, par_load_sweep_ledgered_collect,
-    par_load_sweep_probed, par_load_sweep_probed_collect, par_load_sweep_traced_collect,
-    par_load_sweep_with_order, resolve_threads,
+    par_curves, par_load_sweep_collect, par_load_sweep_ledgered_collect,
+    par_load_sweep_probed_collect, par_load_sweep_traced_collect, par_load_sweep_with_order,
+    resolve_threads,
 };
-pub use shard::{
-    plan_shards, run_synthetic_sharded, run_synthetic_sharded_faulted,
-    run_synthetic_sharded_faulted_probed, run_synthetic_sharded_ledgered,
-    run_synthetic_sharded_probed, run_synthetic_sharded_traced,
-};
+pub use shard::plan_shards;
+/// Alias of [`run_synthetic`], kept only for perfbench; goes away in the
+/// next benchmark change.
+pub use engine::run_synthetic as run_synthetic_sharded;
+/// Alias of [`run_synthetic_probed`], kept only for perfbench; goes away
+/// in the next benchmark change.
+pub use engine::run_synthetic_probed as run_synthetic_sharded_probed;
+/// Alias of [`run_synthetic_traced`], kept only for perfbench; goes away
+/// in the next benchmark change.
+pub use engine::run_synthetic_traced as run_synthetic_sharded_traced;
 pub use stats::{DelayHistogram, ExchangeStats, SyntheticStats};
 pub use supervise::{
     backoff_ms, supervised_load_sweep_collect, supervised_load_sweep_hooked, ChaosConfig,
     SupervisedSweep, SuperviseConfig, SuperviseHooks, SupervisionSummary,
 };
 pub use sweep::{
-    load_grid, load_grid_from, load_sweep, load_sweep_collect, load_sweep_ledgered_collect,
-    load_sweep_probed, load_sweep_probed_collect, load_sweep_traced_collect, point_seed,
-    saturation_throughput, SweepNotice, SweepOutcome, SweepPoint,
+    load_grid, load_grid_from, load_sweep, load_sweep_collect, point_seed, saturation_throughput,
+    SweepNotice, SweepOutcome, SweepPoint,
 };
 pub use telemetry::{
     DeadlockReport, ProbeConfig, RingEvent, RingEventKind, TelemetryReport, TelemetrySummary,

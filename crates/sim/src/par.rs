@@ -1,20 +1,24 @@
-//! Parallel sweep harness: fan independent simulation points (and whole
-//! curves) across a std-only scoped worker pool.
+//! Parallel sweeps: independent simulation points (and whole curves)
+//! fanned across a std-only scoped worker pool.
 //!
 //! # Determinism
 //!
-//! Every sweep point is seeded by [`crate::sweep::point_seed`] from
-//! `(cfg.seed, index)` alone, so a point's simulated schedule is a pure
-//! function of the request — not of thread interleaving. The early-abort
-//! optimization is made order-independent too: workers publish wedged
-//! indices into an atomic low-watermark and skip indices strictly above
-//! it, and a final pass stubs **every** index above the *minimum*
-//! simulated wedged index. Any index below that minimum was necessarily
-//! simulated (it could never have been above the watermark), so the
-//! minimum equals the serial sweep's first-wedge index and the output is
-//! `==` to [`crate::sweep::load_sweep`]'s, point for point, regardless
-//! of completion order. `tests/determinism.rs` asserts this end to end,
-//! including under random permutations of the work order.
+//! Every sweep runs through the one sweep driver in [`crate::supervise`];
+//! the functions here are that driver with `threads` workers, no retries
+//! and no chaos, and [`crate::sweep::load_sweep_collect`] is the same
+//! driver with one worker on the caller's thread. Every sweep point is
+//! seeded by [`crate::sweep::point_seed`] from `(cfg.seed, index)`
+//! alone, so a point's simulated schedule is a pure function of the
+//! request — not of thread interleaving. The early-abort optimization is
+//! made order-independent too: workers publish wedged indices into an
+//! atomic low-watermark and skip indices strictly above it, and a final
+//! pass stubs **every** index above the *minimum* simulated wedged
+//! index. Any index below that minimum was necessarily simulated (it
+//! could never have been above the watermark), so the minimum equals
+//! the first wedge in index order and the output is `==` at every
+//! thread count, point for point, regardless of completion order.
+//! `tests/determinism.rs` asserts this end to end, including under
+//! random permutations of the work order.
 //!
 //! # Pool
 //!
@@ -22,13 +26,15 @@
 //! channels, no new crates, workers borrow the network/policy directly.
 //! Each sweep worker keeps one reusable [`crate::Engine`] (via
 //! `PointRunner`), so per-point allocation cost is paid once per worker.
+//! A pool that resolves to one worker runs inline on the caller's thread.
 
 use crate::config::SimConfig;
-use crate::ledger::{EngineLedger, LedgerConfig, PointLedger};
-use crate::stats::SyntheticStats;
-use crate::sweep::{PointRunner, SweepNotice, SweepOutcome, SweepPoint};
-use crate::telemetry::{ProbeConfig, TelemetrySummary};
-use crate::trace::{EngineTrace, PointTrace, TraceConfig};
+use crate::ledger::{LedgerConfig, PointLedger};
+use crate::shard::Observers;
+use crate::supervise::{SuperviseConfig, SuperviseHooks, Swept};
+use crate::sweep::SweepOutcome;
+use crate::telemetry::ProbeConfig;
+use crate::trace::{PointTrace, TraceConfig};
 use d2net_routing::RoutePolicy;
 use d2net_topo::Network;
 use d2net_traffic::SyntheticPattern;
@@ -54,7 +60,8 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// Runs `jobs` on a scoped pool of `threads` workers (`0` = auto) and
 /// returns their results in job order. The combinator the bench harness
 /// uses to fan out whole curves (each job simulating one
-/// topology × policy × pattern curve).
+/// topology × policy × pattern curve). With one worker the jobs run in
+/// order on the caller's thread.
 pub fn par_curves<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
 where
     T: Send,
@@ -62,6 +69,9 @@ where
 {
     let n = jobs.len();
     let threads = resolve_threads(threads).min(n.max(1));
+    if threads == 1 {
+        return jobs.into_iter().map(|job| job()).collect();
+    }
     let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
@@ -84,10 +94,10 @@ where
         .collect()
 }
 
-/// [`crate::load_sweep`] fanned across `threads` workers (`0` = auto).
-/// Output is `==` to the serial sweep's, point for point.
+/// The sweep driver as a plain sweep: `threads` workers, no retries, no
+/// chaos, no hooks.
 #[allow(clippy::too_many_arguments)]
-pub fn par_load_sweep(
+fn plain_sweep(
     net: &Network,
     policy: &RoutePolicy,
     pattern: &SyntheticPattern,
@@ -96,12 +106,34 @@ pub fn par_load_sweep(
     warmup_ns: u64,
     cfg: SimConfig,
     threads: usize,
-) -> Vec<SweepPoint> {
-    par_load_sweep_collect(net, policy, pattern, loads, duration_ns, warmup_ns, cfg, threads).points
+    order: Option<&[usize]>,
+    observers: Observers,
+) -> Swept {
+    let sup = SuperviseConfig {
+        max_retries: 0,
+        chaos: None,
+        threads,
+        ..SuperviseConfig::default()
+    };
+    crate::supervise::sweep(
+        net,
+        policy,
+        pattern,
+        loads,
+        duration_ns,
+        warmup_ns,
+        cfg,
+        &sup,
+        &SuperviseHooks::default(),
+        order,
+        observers,
+    )
 }
 
-/// [`par_load_sweep`] also returning the structured notices (parallel
-/// sweeps never print; callers route notices into the report layer).
+/// [`crate::load_sweep_collect`] fanned across `threads` workers
+/// (`0` = auto). Output is `==` to the serial sweep's, point for point;
+/// the notices are returned, never printed (callers route them into the
+/// report layer).
 #[allow(clippy::too_many_arguments)]
 pub fn par_load_sweep_collect(
     net: &Network,
@@ -113,35 +145,14 @@ pub fn par_load_sweep_collect(
     cfg: SimConfig,
     threads: usize,
 ) -> SweepOutcome {
-    let order: Vec<usize> = (0..loads.len()).collect();
-    par_sweep_core(
-        net, policy, pattern, loads, duration_ns, warmup_ns, cfg, None, None, None, threads,
-        &order,
-    )
-    .0
+    let observers = Observers::default();
+    plain_sweep(net, policy, pattern, loads, duration_ns, warmup_ns, cfg, threads, None, observers)
+        .outcome
 }
 
-/// [`crate::load_sweep_probed`] fanned across `threads` workers
-/// (`0` = auto); every simulated point carries its telemetry summary.
-#[allow(clippy::too_many_arguments)]
-pub fn par_load_sweep_probed(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-    threads: usize,
-) -> Vec<SweepPoint> {
-    par_load_sweep_probed_collect(
-        net, policy, pattern, loads, duration_ns, warmup_ns, cfg, probe, threads,
-    )
-    .points
-}
-
-/// [`par_load_sweep_probed`] also returning the structured notices.
+/// [`par_load_sweep_collect`] with an observability probe attached to
+/// every simulated point; each [`crate::SweepPoint`] carries its
+/// telemetry summary.
 #[allow(clippy::too_many_arguments)]
 pub fn par_load_sweep_probed_collect(
     net: &Network,
@@ -154,29 +165,19 @@ pub fn par_load_sweep_probed_collect(
     probe: ProbeConfig,
     threads: usize,
 ) -> SweepOutcome {
-    let order: Vec<usize> = (0..loads.len()).collect();
-    par_sweep_core(
-        net,
-        policy,
-        pattern,
-        loads,
-        duration_ns,
-        warmup_ns,
-        cfg,
-        Some(probe),
-        None,
-        None,
-        threads,
-        &order,
-    )
-    .0
+    let observers = Observers {
+        probe: Some(probe),
+        ..Observers::default()
+    };
+    plain_sweep(net, policy, pattern, loads, duration_ns, warmup_ns, cfg, threads, None, observers)
+        .outcome
 }
 
-/// [`crate::load_sweep_traced_collect`] fanned across `threads` workers
-/// (`0` = auto). Per-worker trace buffers are merged by point index, so
-/// the returned traces — and any file exported from them — are
-/// byte-identical to the serial sweep's regardless of thread count or
-/// completion order.
+/// [`par_load_sweep_collect`] with a [`TraceConfig`] attached to every
+/// simulated point. Returns one [`PointTrace`] per surviving simulated
+/// point, merged by point index — wedge-stubbed and panicked points have
+/// none — so the traces, and any file exported from them, are
+/// byte-identical at every thread count and completion order.
 #[allow(clippy::too_many_arguments)]
 pub fn par_load_sweep_traced_collect(
     net: &Network,
@@ -189,29 +190,20 @@ pub fn par_load_sweep_traced_collect(
     trace: TraceConfig,
     threads: usize,
 ) -> (SweepOutcome, Vec<PointTrace>) {
-    let order: Vec<usize> = (0..loads.len()).collect();
-    let (out, traces, _) = par_sweep_core(
-        net,
-        policy,
-        pattern,
-        loads,
-        duration_ns,
-        warmup_ns,
-        cfg,
-        None,
-        Some(trace),
-        None,
-        threads,
-        &order,
+    let observers = Observers {
+        trace: Some(trace),
+        ..Observers::default()
+    };
+    let out = plain_sweep(
+        net, policy, pattern, loads, duration_ns, warmup_ns, cfg, threads, None, observers,
     );
-    (out, traces)
+    (out.outcome, out.traces)
 }
 
-/// [`crate::load_sweep_ledgered_collect`] fanned across `threads`
-/// workers (`0` = auto). Per-worker ledgers are merged by point index,
-/// so the returned ledgers — and any manifest serialized from them —
-/// are byte-identical to the serial sweep's regardless of thread count
-/// or completion order.
+/// [`par_load_sweep_collect`] with a [`LedgerConfig`] attached to every
+/// simulated point. Ledgers are merged by point index like traces, so
+/// they — and any manifest serialized from them — are byte-identical at
+/// every thread count and completion order.
 #[allow(clippy::too_many_arguments)]
 pub fn par_load_sweep_ledgered_collect(
     net: &Network,
@@ -224,28 +216,24 @@ pub fn par_load_sweep_ledgered_collect(
     ledger: LedgerConfig,
     threads: usize,
 ) -> (SweepOutcome, Vec<PointLedger>) {
-    let order: Vec<usize> = (0..loads.len()).collect();
-    let (out, _, ledgers) = par_sweep_core(
-        net,
-        policy,
-        pattern,
-        loads,
-        duration_ns,
-        warmup_ns,
-        cfg,
-        None,
-        None,
-        Some(ledger),
-        threads,
-        &order,
+    let observers = Observers {
+        ledger: Some(ledger),
+        ..Observers::default()
+    };
+    let out = plain_sweep(
+        net, policy, pattern, loads, duration_ns, warmup_ns, cfg, threads, None, observers,
     );
-    (out, ledgers)
+    (out.outcome, out.ledgers)
 }
 
 /// [`par_load_sweep_collect`] with an explicit work order — the audit
 /// hook for the scheduling-independence property test: `order` is the
 /// sequence in which the pool hands out point indices, and the result
 /// must be identical for every permutation.
+///
+/// # Panics
+///
+/// If `order` is not a permutation of the point indices.
 #[allow(clippy::too_many_arguments)]
 pub fn par_load_sweep_with_order(
     net: &Network,
@@ -258,182 +246,10 @@ pub fn par_load_sweep_with_order(
     threads: usize,
     order: &[usize],
 ) -> SweepOutcome {
-    par_sweep_core(
-        net, policy, pattern, loads, duration_ns, warmup_ns, cfg, None, None, None, threads, order,
-    )
-    .0
-}
-
-#[allow(clippy::too_many_arguments)]
-fn par_sweep_core(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: Option<ProbeConfig>,
-    trace: Option<TraceConfig>,
-    ledger: Option<LedgerConfig>,
-    threads: usize,
-    order: &[usize],
-) -> (SweepOutcome, Vec<PointTrace>, Vec<PointLedger>) {
-    let n = loads.len();
-    assert_eq!(order.len(), n, "work order must cover every point once");
-    debug_assert!({
-        let mut seen = vec![false; n];
-        order.iter().all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
-    });
-    // One static pass covers every load point (verification is
-    // load-independent), exactly as the serial sweep does — including
-    // the shape of a rejected configuration's outcome.
-    let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
-        Ok(cfg) => cfg,
-        Err(e) => return (crate::sweep::rejected_outcome(loads, e), Vec::new(), Vec::new()),
-    };
-    if let Err(e) = PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        return (crate::sweep::rejected_outcome(loads, e), Vec::new(), Vec::new());
-    }
-    crate::obs::sweep_started(n);
-    // Each point of a sharded sweep occupies `shards` worker threads of
-    // its own (see `crate::shard`); divide the one budget between
-    // point- and shard-level parallelism instead of oversubscribing.
-    let shards = crate::shard::plan_shards(net, policy, &cfg);
-    let threads = (resolve_threads(threads) / shards).max(1).min(n.max(1));
-    // The last element carries the panic message when the point had to
-    // be isolated — a panicked point's stub reads `deadlocked` but must
-    // neither arm the watermark nor masquerade as a genuine wedge.
-    type Slot = Option<(
-        SyntheticStats,
-        Option<TelemetrySummary>,
-        Option<EngineTrace>,
-        Option<EngineLedger>,
-        Option<String>,
-    )>;
-    let results: Vec<Mutex<Slot>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // Low-watermark of wedged point indices: workers skip indices
-    // strictly above it instead of burning a full simulated horizon on a
-    // point the serial sweep would have stubbed.
-    let watermark = AtomicUsize::new(usize::MAX);
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut runner =
-                    PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns)
-                        .expect("validated before spawning workers");
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    let idx = order[k];
-                    if idx > watermark.load(Ordering::Relaxed) {
-                        continue; // will be stubbed by the final pass
-                    }
-                    let (stats, summary, tr, led, panic_msg) =
-                        match runner.run_point_isolated(idx, loads[idx], probe, trace, ledger) {
-                            Ok((stats, report, tr, led)) => {
-                                (stats, report.map(|r| r.summary()), tr, led, None)
-                            }
-                            Err(msg) => (
-                                SyntheticStats::panicked_stub(loads[idx]),
-                                None,
-                                None,
-                                None,
-                                Some(msg),
-                            ),
-                        };
-                    if stats.deadlocked && panic_msg.is_none() {
-                        watermark.fetch_min(idx, Ordering::Relaxed);
-                    }
-                    *results[idx].lock().unwrap() = Some((stats, summary, tr, led, panic_msg));
-                }
-            });
-        }
-    });
-    // The minimum simulated wedged index: every lower index was
-    // simulated (a skip requires idx > watermark ≥ this minimum), so it
-    // is exactly the serial sweep's first-wedge index.
-    let mut first_wedge: Option<usize> = None;
-    for (idx, slot) in results.iter().enumerate() {
-        if let Some((stats, .., panic_msg)) = slot.lock().unwrap().as_ref() {
-            if stats.deadlocked && panic_msg.is_none() {
-                first_wedge = Some(idx);
-                break;
-            }
-        }
-    }
-    let mut points = Vec::with_capacity(n);
-    let mut traces = Vec::new();
-    let mut ledgers = Vec::new();
-    // Notices are rebuilt in index order during the final pass — one
-    // panicked/exhausted notice per surviving point plus the single
-    // wedge notice — which is exactly the order the serial loop emits
-    // them in, so notices compare `==` across harnesses.
-    let mut notices = Vec::new();
-    let mut acc = crate::obs::SweepAccounting::default();
-    for (idx, slot) in results.into_iter().enumerate() {
-        let load = loads[idx];
-        let stubbed = first_wedge.is_some_and(|w| idx > w);
-        let point = match (stubbed, slot.into_inner().unwrap()) {
-            (false, Some((stats, telemetry, tr, led, panic_msg))) => {
-                // Traces and ledgers from points the serial sweep would
-                // have stubbed (simulated here only by racing ahead of
-                // the watermark) are dropped with their stats; the
-                // survivors are pushed in index order, so the merged
-                // file matches the serial sweep's byte for byte.
-                if let Some(msg) = &panic_msg {
-                    acc.panicked += 1;
-                    notices.push(SweepNotice::panicked(idx, load, msg));
-                    crate::obs::notice(notices.last().unwrap());
-                } else {
-                    if stats.exhausted {
-                        acc.exhausted += 1;
-                        notices.push(SweepNotice::exhausted(idx, load));
-                        crate::obs::notice(notices.last().unwrap());
-                    } else {
-                        acc.completed += 1;
-                    }
-                    if first_wedge == Some(idx) {
-                        notices.push(SweepNotice::wedged(idx, load));
-                        crate::obs::notice(notices.last().unwrap());
-                    }
-                }
-                if let Some(tr) = tr {
-                    traces.push(PointTrace {
-                        index: idx,
-                        load,
-                        trace: tr,
-                    });
-                }
-                if let Some(led) = led {
-                    ledgers.push(PointLedger {
-                        index: idx,
-                        load,
-                        ledger: led,
-                    });
-                }
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry,
-                }
-            }
-            _ => {
-                acc.stubbed += 1;
-                SweepPoint {
-                    load,
-                    stats: SyntheticStats::deadlocked_stub(load),
-                    telemetry: None,
-                }
-            }
-        };
-        points.push(point);
-    }
-    crate::obs::sweep_finished(&acc);
-    (SweepOutcome { points, notices }, traces, ledgers)
+    let observers = Observers::default();
+    let order = Some(order);
+    plain_sweep(net, policy, pattern, loads, duration_ns, warmup_ns, cfg, threads, order, observers)
+        .outcome
 }
 
 #[cfg(test)]

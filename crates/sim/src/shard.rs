@@ -19,7 +19,7 @@
 //! `Engine::next_key`), so each receiving queue's `(time, key)` order
 //! reproduces the serial schedule byte-for-byte — the same total-order
 //! argument that lets the calendar and heap queues cross-check today.
-//! Mid-run faults ([`EngineFault`]) are applied at barriers; the
+//! Mid-run faults ([`crate::EngineFault`]) are applied at barriers; the
 //! coordinator never opens a window across a fault time.
 //!
 //! One coordinator (`run_windows`) serves both workloads: a synthetic
@@ -457,16 +457,18 @@ fn run_windows<'a>(
     Ok((engines.swap_remove(0), wedged, forensics))
 }
 
-/// The observers a run attaches to every engine it builds.
-#[derive(Clone, Copy)]
-struct Observers {
-    probe: Option<ProbeConfig>,
-    trace: Option<TraceConfig>,
-    ledger: Option<LedgerConfig>,
+/// The observers a run attaches to every engine it builds — the one
+/// value threaded through single runs, exchanges, sweep points and the
+/// sweep driver.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Observers {
+    pub(crate) probe: Option<ProbeConfig>,
+    pub(crate) trace: Option<TraceConfig>,
+    pub(crate) ledger: Option<LedgerConfig>,
 }
 
 impl Observers {
-    fn attach(self, eng: &mut Engine) {
+    pub(crate) fn attach(self, eng: &mut Engine) {
         if let Some(p) = self.probe {
             eng.attach_probe(p);
         }
@@ -479,42 +481,54 @@ impl Observers {
     }
 }
 
-/// The shared synthetic-run core: resolves the shard count, runs the
-/// serial engine at `k = 1` and the window coordinator otherwise.
-/// Called by every `run_synthetic_sharded*` entry point and the sweeps'
-/// `PointRunner`.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+/// What one synthetic run hands back: its stats plus the output of each
+/// attached observer.
+#[derive(Debug)]
+pub(crate) struct RunOutput {
+    pub(crate) stats: SyntheticStats,
+    pub(crate) telemetry: Option<TelemetryReport>,
+    pub(crate) trace: Option<EngineTrace>,
+    pub(crate) ledger: Option<EngineLedger>,
+}
+
+impl RunOutput {
+    /// Runs `eng` to the horizon on the serial event loop and collects
+    /// its stats and observer outputs — the `k = 1` path, shared with
+    /// the sweeps' reusable point engine.
+    pub(crate) fn serial(eng: &mut Engine, load: f64, end_ps: u64) -> Self {
+        let (stats, telemetry) = eng.run_synthetic_to(load, end_ps);
+        RunOutput {
+            stats,
+            telemetry,
+            trace: eng.take_trace(),
+            ledger: eng.take_ledger(),
+        }
+    }
+}
+
+/// The one synthetic-run path behind every `run_synthetic*` entry point
+/// and the sweeps' `PointRunner`: validates the measurement window,
+/// resolves the shard count, runs the serial engine at `k = 1` and the
+/// window coordinator otherwise.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sharded_inner(
     net: &Network,
     policy: &RoutePolicy,
     pattern: &d2net_traffic::SyntheticPattern,
     schedule: Option<&FaultSchedule>,
     load: f64,
-    end_ps: u64,
-    warmup_ps: u64,
+    duration_ns: u64,
+    warmup_ns: u64,
     cfg: SimConfig,
-    probe: Option<ProbeConfig>,
-    trace: Option<TraceConfig>,
-    ledger: Option<LedgerConfig>,
-) -> Result<
-    (
-        SyntheticStats,
-        Option<TelemetryReport>,
-        Option<EngineTrace>,
-        Option<EngineLedger>,
-    ),
-    String,
-> {
+    observers: Observers,
+) -> Result<RunOutput, String> {
+    invariant::warmup_within(warmup_ns, duration_ns)?;
+    let (end_ps, warmup_ps) = (duration_ns * 1_000, warmup_ns * 1_000);
     let policies = schedule
         .map(|s| resolve_fault_policies(net, policy, s))
         .unwrap_or_default();
     let fault_at_zero = schedule.is_some_and(|s| s.events().iter().any(|e| e.t_ns == 0));
     let k = effective_shards(net, policy, &cfg, fault_at_zero);
-    let observers = Observers {
-        probe,
-        trace,
-        ledger,
-    };
     // Every shard derives the run's randomness from an identically
     // seeded master RNG and an identical source vector, so a node's
     // stochastic stream is the same no matter which shard owns it (see
@@ -533,8 +547,7 @@ pub(crate) fn run_sharded_inner(
 
     if k <= 1 {
         let mut eng = build(0, net.num_routers(), cfg, true)?;
-        let (stats, tel) = eng.run_synthetic_to(load, end_ps);
-        return Ok((stats, tel, eng.take_trace(), eng.take_ledger()));
+        return Ok(RunOutput::serial(&mut eng, load, end_ps));
     }
     // The static preflight pass is shard-independent; run it once here
     // rather than once per shard build.
@@ -546,7 +559,12 @@ pub(crate) fn run_sharded_inner(
         run_windows(net, cfg, k, Some(end_ps), &fault_times, build)?;
     let telemetry = eng.take_probe_report_with(forensics);
     let stats = eng.synthetic_stats(load, end_ps, wedged);
-    Ok((stats, telemetry, eng.take_trace(), eng.take_ledger()))
+    Ok(RunOutput {
+        stats,
+        telemetry,
+        trace: eng.take_trace(),
+        ledger: eng.take_ledger(),
+    })
 }
 
 /// The shared exchange core behind [`crate::run_exchange`] and its
@@ -559,8 +577,7 @@ pub(crate) fn run_exchange_inner(
     exchange: &d2net_traffic::Exchange,
     window: usize,
     cfg: SimConfig,
-    probe: Option<ProbeConfig>,
-    trace: Option<TraceConfig>,
+    observers: Observers,
 ) -> (ExchangeStats, Option<TelemetryReport>, Option<EngineTrace>) {
     invariant!(
         exchange.sends.len() == net.num_nodes() as usize,
@@ -569,11 +586,6 @@ pub(crate) fn run_exchange_inner(
         net.num_nodes()
     );
     let total_bytes = exchange.total_bytes();
-    let observers = Observers {
-        probe,
-        trace,
-        ledger: None,
-    };
     let build = |lo: u32, hi: u32, cfg: SimConfig, first: bool| {
         let sources = (0..net.num_nodes())
             .map(|n| {
@@ -605,185 +617,6 @@ pub(crate) fn run_exchange_inner(
             })
     };
     run.unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Validates the measurement window and converts to engine units —
-/// the public entry points' shared prologue.
-fn horizon(duration_ns: u64, warmup_ns: u64) -> Result<(u64, u64), String> {
-    d2net_verify::invariant::warmup_within(warmup_ns, duration_ns)?;
-    Ok((duration_ns * 1_000, warmup_ns * 1_000))
-}
-
-/// Sharded equivalent of [`crate::run_synthetic`]: identical output for
-/// every shard count (see the module docs), faster wall-clock on large
-/// networks. The shard count comes from [`SimConfig::shards`] /
-/// `D2NET_SHARDS` / the auto heuristic, via [`plan_shards`].
-pub fn run_synthetic_sharded(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-) -> SyntheticStats {
-    let (end_ps, warmup_ps) = horizon(duration_ns, warmup_ns).unwrap_or_else(|e| panic!("{e}"));
-    run_sharded_inner(
-        net, policy, pattern, None, load, end_ps, warmup_ps, cfg, None, None, None,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-    .0
-}
-
-/// Sharded equivalent of [`crate::run_synthetic_probed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_sharded_probed(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-) -> (SyntheticStats, TelemetryReport) {
-    let (end_ps, warmup_ps) = horizon(duration_ns, warmup_ns).unwrap_or_else(|e| panic!("{e}"));
-    let (stats, tel, _, _) = run_sharded_inner(
-        net,
-        policy,
-        pattern,
-        None,
-        load,
-        end_ps,
-        warmup_ps,
-        cfg,
-        Some(probe),
-        None,
-        None,
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    (stats, tel.expect("probe was attached"))
-}
-
-/// Sharded equivalent of [`crate::run_synthetic_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_sharded_traced(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    tcfg: TraceConfig,
-) -> (SyntheticStats, EngineTrace) {
-    let (end_ps, warmup_ps) = horizon(duration_ns, warmup_ns).unwrap_or_else(|e| panic!("{e}"));
-    let (stats, _, trace, _) = run_sharded_inner(
-        net,
-        policy,
-        pattern,
-        None,
-        load,
-        end_ps,
-        warmup_ps,
-        cfg,
-        None,
-        Some(tcfg),
-        None,
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    (stats, trace.expect("trace was attached"))
-}
-
-/// Sharded equivalent of [`crate::run_synthetic_ledgered`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_sharded_ledgered(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    lcfg: LedgerConfig,
-) -> (SyntheticStats, EngineLedger) {
-    let (end_ps, warmup_ps) = horizon(duration_ns, warmup_ns).unwrap_or_else(|e| panic!("{e}"));
-    let (stats, _, _, ledger) = run_sharded_inner(
-        net,
-        policy,
-        pattern,
-        None,
-        load,
-        end_ps,
-        warmup_ps,
-        cfg,
-        None,
-        None,
-        Some(lcfg),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    (stats, ledger.expect("ledger was attached"))
-}
-
-/// Sharded equivalent of [`crate::run_synthetic_faulted`]. The fault
-/// schedule threads through window barriers; a schedule with an event
-/// at `t = 0` falls back to serial (see [`plan_shards`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_sharded_faulted(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    schedule: &FaultSchedule,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-) -> Result<SyntheticStats, String> {
-    let (end_ps, warmup_ps) = horizon(duration_ns, warmup_ns)?;
-    run_sharded_inner(
-        net,
-        policy,
-        pattern,
-        Some(schedule),
-        load,
-        end_ps,
-        warmup_ps,
-        cfg,
-        None,
-        None,
-        None,
-    )
-    .map(|(stats, _, _, _)| stats)
-}
-
-/// Sharded equivalent of [`crate::run_synthetic_faulted_probed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_sharded_faulted_probed(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &d2net_traffic::SyntheticPattern,
-    schedule: &FaultSchedule,
-    load: f64,
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-) -> Result<(SyntheticStats, TelemetryReport), String> {
-    let (end_ps, warmup_ps) = horizon(duration_ns, warmup_ns)?;
-    run_sharded_inner(
-        net,
-        policy,
-        pattern,
-        Some(schedule),
-        load,
-        end_ps,
-        warmup_ps,
-        cfg,
-        Some(probe),
-        None,
-        None,
-    )
-    .map(|(stats, tel, _, _)| (stats, tel.expect("probe was attached")))
 }
 
 #[cfg(test)]
@@ -822,8 +655,7 @@ mod tests {
         let pattern = SyntheticPattern::Uniform;
         let serial = run_synthetic(&net, &policy, &pattern, 0.3, 6_000, 1_000, cfg_with(1));
         for k in [2u32, 3, 5] {
-            let sharded =
-                run_synthetic_sharded(&net, &policy, &pattern, 0.3, 6_000, 1_000, cfg_with(k));
+            let sharded = run_synthetic(&net, &policy, &pattern, 0.3, 6_000, 1_000, cfg_with(k));
             assert_eq!(sharded, serial, "shard count {k} diverged");
         }
     }

@@ -1,29 +1,41 @@
-//! Supervised sweeps: a fault-tolerant harness over the parallel sweep
-//! pool.
+//! The sweep driver, and the supervision it offers.
 //!
-//! The plain sweeps ([`crate::sweep`], [`crate::par`]) already isolate a
-//! panicking point into a coded stub; this module adds the *supervisor*
-//! around them: deterministic seeded **retries** for points that fail
-//! (panic or budget exhaustion), a seeded **chaos registry** that
-//! injects panics and stalls inside the engine so the supervisor is
-//! itself testable, per-point **completion hooks** (the durable journal
-//! in `d2net-core` appends from them), **resume** from previously
-//! completed points, and a cooperative **stop** signal for graceful
-//! drains (the batch service's SIGTERM path).
+//! Every load sweep — serial, parallel or supervised — runs through the
+//! one driver here: a scoped worker pool with an atomic claim cursor,
+//! the wedge low-watermark, and one final pass that assembles points,
+//! notices, observer outputs and accounting in index order. The
+//! executors are settings of that driver:
+//!
+//! - a **serial** sweep ([`crate::load_sweep_collect`]) runs one worker,
+//!   inline on the caller's thread;
+//! - a **parallel** sweep ([`crate::par`]) runs `threads` workers;
+//! - a **plain** sweep (either of the above) runs with `max_retries: 0`
+//!   and no chaos, so a panicking point is isolated into a coded stub
+//!   and a budget-exhausted point keeps its partial stats, once.
+//!
+//! A supervised sweep adds deterministic seeded **retries** for points
+//! that fail (panic or budget exhaustion), a seeded **chaos registry**
+//! that injects panics and stalls inside the engine so the supervisor
+//! is itself testable, per-point **completion hooks** (the durable
+//! journal in `d2net-core` appends from them), **resume** from
+//! previously completed points, and a cooperative **stop** signal for
+//! graceful drains (the batch service's SIGTERM path).
 //!
 //! # Determinism contract
 //!
 //! With chaos disabled and no budget configured, a supervised sweep is
-//! `==` to [`crate::par::par_load_sweep_collect`] (and therefore to the
-//! serial sweep) — points, notices, everything. Every point retries
-//! from the *same* index-derived seed, so a point that succeeds on a
-//! retry is byte-identical to one that never failed; chaos decisions
-//! are a pure function of `(chaos seed, point seed, attempt)`, so a
-//! chaos run is reproducible end to end.
+//! `==` to a plain sweep at any thread count — points, notices,
+//! everything. Every point retries from the *same* index-derived seed,
+//! so a point that succeeds on a retry is byte-identical to one that
+//! never failed; chaos decisions are a pure function of `(chaos seed,
+//! point seed, attempt)`, so a chaos run is reproducible end to end.
 
 use crate::config::{ChaosKind, EngineChaos, SimConfig};
+use crate::ledger::{EngineLedger, PointLedger};
+use crate::shard::{Observers, RunOutput};
 use crate::stats::SyntheticStats;
 use crate::sweep::{point_seed, PointRunner, SweepNotice, SweepOutcome, SweepPoint};
+use crate::trace::{EngineTrace, PointTrace};
 use d2net_routing::RoutePolicy;
 use d2net_topo::Network;
 use d2net_traffic::SyntheticPattern;
@@ -236,21 +248,7 @@ pub struct SuperviseHooks<'h> {
     pub on_point: Option<OnPointHook<'h>>,
 }
 
-/// How one supervised slot ended — drives notices and accounting in the
-/// final pass.
-enum SlotFate {
-    /// Simulated to a real result this run, after `retries` retries.
-    Fresh { retries: u32 },
-    /// Prefilled from the resume journal.
-    Resumed,
-    /// Final outcome was budget exhaustion (stats are the last
-    /// attempt's partial measurements).
-    Exhausted,
-    /// Final outcome was an isolated panic (stats are a panicked stub).
-    Panicked { msg: String },
-}
-
-/// [`crate::par::par_load_sweep_collect`] under supervision: panics
+/// [`crate::par_load_sweep_collect`] under supervision: panics
 /// isolated, budgets enforced, failing points retried with seeded
 /// backoff, and the outcome annotated with a [`SupervisionSummary`].
 #[allow(clippy::too_many_arguments)]
@@ -292,187 +290,315 @@ pub fn supervised_load_sweep_hooked(
     sup: &SuperviseConfig,
     hooks: &SuperviseHooks<'_>,
 ) -> SupervisedSweep {
+    let out = sweep(
+        net,
+        policy,
+        pattern,
+        loads,
+        duration_ns,
+        warmup_ns,
+        cfg,
+        sup,
+        hooks,
+        None,
+        Observers::default(),
+    );
+    SupervisedSweep {
+        outcome: out.outcome,
+        summary: out.summary,
+    }
+}
+
+/// What the sweep driver hands back: the outcome, its supervision
+/// accounting, and the observers' per-point outputs in index order.
+pub(crate) struct Swept {
+    pub(crate) outcome: SweepOutcome,
+    pub(crate) summary: SupervisionSummary,
+    pub(crate) traces: Vec<PointTrace>,
+    pub(crate) ledgers: Vec<PointLedger>,
+}
+
+/// The one sweep driver. `sup.threads` workers (`0` = auto, divided by
+/// the points' shard count) claim points in `order` (index order when
+/// `None`), each on its own reusable point engine with `observers`
+/// attached; one worker runs inline on the caller's thread. `sup` sets
+/// retries and chaos, `hooks` the resume prefill, stop signal and
+/// completion hook. A rejected configuration comes back as stubs plus
+/// one `rejected` notice.
+///
+/// # Panics
+///
+/// If `order` is not a permutation of the point indices, or a prefill
+/// does not cover every point.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep(
+    net: &Network,
+    policy: &RoutePolicy,
+    pattern: &SyntheticPattern,
+    loads: &[f64],
+    duration_ns: u64,
+    warmup_ns: u64,
+    cfg: SimConfig,
+    sup: &SuperviseConfig,
+    hooks: &SuperviseHooks<'_>,
+    order: Option<&[usize]>,
+    observers: Observers,
+) -> Swept {
     let n = loads.len();
     if let Some(pre) = hooks.prefilled {
         assert_eq!(pre.len(), n, "prefill must cover every point");
     }
+    if let Some(order) = order {
+        let mut seen = vec![false; n];
+        assert!(
+            order.len() == n
+                && order.iter().all(|&i| i < n && !std::mem::replace(&mut seen[i], true)),
+            "work order must be a permutation of the point indices"
+        );
+    }
+    // One static pass covers every load point: verification is
+    // load-independent, so the per-point configs run with it disabled.
+    let rejected = |reason| Swept {
+        outcome: crate::sweep::rejected_outcome(loads, reason),
+        summary: SupervisionSummary::default(),
+        traces: Vec::new(),
+        ledgers: Vec::new(),
+    };
     let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
         Ok(cfg) => cfg,
-        Err(e) => {
-            return SupervisedSweep {
-                outcome: crate::sweep::rejected_outcome(loads, e),
-                summary: SupervisionSummary::default(),
-            }
-        }
+        Err(e) => return rejected(e),
     };
     if let Err(e) = PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        return SupervisedSweep {
-            outcome: crate::sweep::rejected_outcome(loads, e),
-            summary: SupervisionSummary::default(),
-        };
+        return rejected(e);
     }
-    crate::obs::sweep_started(n);
+    // Each point of a sharded sweep occupies `shards` worker threads of
+    // its own (see `crate::shard`); divide the one budget between
+    // point- and shard-level parallelism instead of oversubscribing.
     let shards = crate::shard::plan_shards(net, policy, &cfg);
     let threads = (crate::par::resolve_threads(sup.threads) / shards)
         .max(1)
         .min(n.max(1));
-    type Slot = Option<(SyntheticStats, SlotFate)>;
-    let results: Vec<Mutex<Slot>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let point = || {
+        let mut runner = PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns)
+            .expect("validated before spawning workers");
+        move |idx: usize, load: f64, chaos: Option<EngineChaos>| {
+            runner.set_chaos(chaos);
+            runner.run_point_isolated(idx, load, observers)
+        }
+    };
+    drive(loads, cfg.seed, threads, sup, hooks, order, point)
+}
+
+/// How one slot ended — drives notices and accounting in the final pass.
+enum SlotFate {
+    /// Simulated to a real result this run, after `retries` retries.
+    Fresh { retries: u32 },
+    /// Prefilled from the resume journal.
+    Resumed,
+    /// Final outcome was budget exhaustion (the slot holds the last
+    /// attempt's partial measurements).
+    Exhausted,
+    /// Final outcome was an isolated panic (the point is a panicked stub).
+    Panicked { msg: String },
+}
+
+/// One finished point: its curve entry, its observers' outputs and how
+/// it ended.
+struct Slot {
+    point: SweepPoint,
+    trace: Option<EngineTrace>,
+    ledger: Option<EngineLedger>,
+    fate: SlotFate,
+}
+
+impl Slot {
+    fn ran(load: f64, out: RunOutput, fate: SlotFate) -> Self {
+        Slot {
+            point: SweepPoint {
+                load,
+                stats: out.stats,
+                telemetry: out.telemetry.map(|r| r.summary()),
+            },
+            trace: out.trace,
+            ledger: out.ledger,
+            fate,
+        }
+    }
+
+    fn bare(load: f64, stats: SyntheticStats, fate: SlotFate) -> Self {
+        Slot {
+            point: SweepPoint {
+                load,
+                stats,
+                telemetry: None,
+            },
+            trace: None,
+            ledger: None,
+            fate,
+        }
+    }
+
+    /// A genuine wedge, which arms the early abort. A panicked point's
+    /// stub also reads `deadlocked`, but a panic is an isolated fault,
+    /// not evidence the network deadlocks at every higher load.
+    /// (`deadlocked` and `exhausted` are mutually exclusive: a budget
+    /// abort returns before the wedge check runs.)
+    fn wedged(&self) -> bool {
+        self.point.stats.deadlocked && !matches!(self.fate, SlotFate::Panicked { .. })
+    }
+}
+
+/// The driver's worker loop and final pass. `point` builds one worker's
+/// point function, `(index, load, chaos) → run or panic message` — a
+/// parameter so the unit tests can drive the loop with synthetic points;
+/// the loop seeds chaos and backoff from `point_seed(seed, index)`.
+fn drive<P>(
+    loads: &[f64],
+    seed: u64,
+    threads: usize,
+    sup: &SuperviseConfig,
+    hooks: &SuperviseHooks<'_>,
+    order: Option<&[usize]>,
+    point: impl Fn() -> P + Sync,
+) -> Swept
+where
+    P: FnMut(usize, f64, Option<EngineChaos>) -> Result<RunOutput, String>,
+{
+    let n = loads.len();
+    crate::obs::sweep_started(n);
+    let results: Vec<Mutex<Option<Slot>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    // Low-watermark of wedged point indices: workers skip indices
+    // strictly above it instead of burning a full simulated horizon on a
+    // point the final pass will stub.
     let watermark = AtomicUsize::new(usize::MAX);
     // Replay the prefill before any worker starts: resumed wedges arm
     // the watermark exactly like freshly simulated ones.
     if let Some(pre) = hooks.prefilled {
-        for (idx, slot) in pre.iter().enumerate() {
-            if let Some(stats) = slot {
-                if stats.deadlocked {
+        for (idx, stats) in pre.iter().enumerate() {
+            if let Some(stats) = stats {
+                let slot = Slot::bare(loads[idx], stats.clone(), SlotFate::Resumed);
+                if slot.wedged() {
                     watermark.fetch_min(idx, Ordering::Relaxed);
                 }
-                *results[idx].lock().unwrap() = Some((stats.clone(), SlotFate::Resumed));
+                *results[idx].lock().unwrap() = Some(slot);
             }
         }
     }
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut runner =
-                    PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns)
-                        .expect("validated before spawning workers");
-                loop {
-                    if hooks.stop.is_some_and(|stop| stop()) {
-                        break;
-                    }
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    if results[idx].lock().unwrap().is_some() {
-                        continue; // prefilled by the resume journal
-                    }
-                    if idx > watermark.load(Ordering::Relaxed) {
-                        continue; // will be stubbed by the final pass
-                    }
-                    let load = loads[idx];
-                    let pseed = point_seed(cfg.seed, idx);
-                    let (stats, fate) = run_supervised_point(
-                        &mut runner,
-                        idx,
-                        load,
-                        pseed,
-                        sup,
-                    );
-                    if stats.deadlocked && matches!(fate, SlotFate::Fresh { .. }) {
-                        watermark.fetch_min(idx, Ordering::Relaxed);
-                    }
-                    if let (Some(hook), SlotFate::Fresh { .. }) = (hooks.on_point, &fate) {
-                        hook(idx, &stats);
-                    }
-                    *results[idx].lock().unwrap() = Some((stats, fate));
-                }
-            });
-        }
-    });
-    // Minimum genuinely wedged index (fresh or resumed) — identical to
-    // the serial sweep's first-wedge index, as in `crate::par`.
-    let mut first_wedge: Option<usize> = None;
-    for (idx, slot) in results.iter().enumerate() {
-        if let Some((stats, fate)) = slot.lock().unwrap().as_ref() {
-            if stats.deadlocked && !matches!(fate, SlotFate::Panicked { .. }) {
-                first_wedge = Some(idx);
+    let worker = || {
+        let mut run = point();
+        loop {
+            if hooks.stop.is_some_and(|stop| stop()) {
                 break;
             }
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= n {
+                break;
+            }
+            let idx = order.map_or(k, |order| order[k]);
+            if results[idx].lock().unwrap().is_some() {
+                continue; // prefilled by the resume journal
+            }
+            if idx > watermark.load(Ordering::Relaxed) {
+                continue; // will be stubbed by the final pass
+            }
+            let slot = run_supervised_point(&mut run, idx, loads[idx], point_seed(seed, idx), sup);
+            if slot.wedged() {
+                watermark.fetch_min(idx, Ordering::Relaxed);
+            }
+            if let (Some(hook), SlotFate::Fresh { .. }) = (hooks.on_point, &slot.fate) {
+                hook(idx, &slot.point.stats);
+            }
+            *results[idx].lock().unwrap() = Some(slot);
         }
+    };
+    if threads == 1 {
+        worker();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(worker);
+            }
+        });
     }
-    let mut points = Vec::with_capacity(n);
+    let slots = results.into_iter().map(|m| m.into_inner().unwrap());
+    finish(loads, slots.collect())
+}
+
+/// The final pass: stubs every point above the first wedge, builds the
+/// notices and accounting, and merges observer outputs by index.
+fn finish(loads: &[f64], slots: Vec<Option<Slot>>) -> Swept {
+    // The minimum genuinely wedged index (fresh or resumed): every lower
+    // index was claimed (a skip requires idx > watermark ≥ this
+    // minimum), so it is the first wedge in index order whatever the
+    // thread count or completion order.
+    let first_wedge = slots.iter().position(|s| s.as_ref().is_some_and(Slot::wedged));
+    let mut points = Vec::with_capacity(slots.len());
     let mut notices = Vec::new();
+    let mut traces = Vec::new();
+    let mut ledgers = Vec::new();
     let mut summary = SupervisionSummary::default();
-    let mut stub_count: u64 = 0;
-    for (idx, slot) in results.into_iter().enumerate() {
+    let mut stubbed: u64 = 0;
+    for (idx, slot) in slots.into_iter().enumerate() {
         let load = loads[idx];
-        let stubbed = first_wedge.is_some_and(|w| idx > w);
-        let point = match (stubbed, slot.into_inner().unwrap()) {
-            (false, Some((stats, fate))) => {
-                match &fate {
-                    SlotFate::Fresh { retries } => {
-                        summary.completed += 1;
-                        if *retries > 0 {
-                            summary.retried += 1;
-                        }
-                    }
-                    SlotFate::Resumed => summary.skipped_by_resume += 1,
-                    SlotFate::Exhausted => {
-                        summary.exhausted += 1;
-                        notices.push(SweepNotice::new(
-                            "exhausted",
-                            idx,
-                            load,
-                            format!(
-                                "run budget exhausted at offered load {load:.3}; \
-                                 partial measurements kept"
-                            ),
-                        ));
-                        crate::obs::notice(notices.last().unwrap());
-                    }
-                    SlotFate::Panicked { msg } => {
-                        summary.panicked += 1;
-                        notices.push(SweepNotice::new(
-                            "panicked",
-                            idx,
-                            load,
-                            format!(
-                                "point at offered load {load:.3} panicked and was stubbed: {msg}"
-                            ),
-                        ));
-                        crate::obs::notice(notices.last().unwrap());
-                    }
+        let beyond_wedge = first_wedge.is_some_and(|w| idx > w);
+        let Some(slot) = slot.filter(|_| !beyond_wedge) else {
+            if beyond_wedge {
+                stubbed += 1;
+            } else {
+                // Never claimed: the stop signal fired first. The stub
+                // keeps the curve one-entry-per-load; resume
+                // re-simulates it.
+                if summary.not_run == 0 {
+                    notices.push(SweepNotice::deadline(idx, load));
                 }
-                if first_wedge == Some(idx) {
-                    notices.push(SweepNotice::new(
-                        "wedged",
-                        idx,
-                        load,
-                        format!(
-                            "network wedged at offered load {load:.3}; \
-                             marking remaining loads deadlocked without simulating them"
-                        ),
-                    ));
-                    crate::obs::notice(notices.last().unwrap());
-                }
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry: None,
-                }
+                summary.not_run += 1;
             }
-            (stubbed, _) => {
-                if !stubbed {
-                    // Never claimed: the stop signal fired first. The
-                    // stub keeps the curve one-entry-per-load; resume
-                    // re-simulates it.
-                    if summary.not_run == 0 {
-                        notices.push(SweepNotice::new(
-                            "deadline",
-                            idx,
-                            load,
-                            format!(
-                                "sweep stopped before offered load {load:.3}; \
-                                 remaining points left for resume"
-                            ),
-                        ));
-                        crate::obs::notice(notices.last().unwrap());
-                    }
-                    summary.not_run += 1;
-                } else {
-                    stub_count += 1;
-                }
-                SweepPoint {
-                    load,
-                    stats: SyntheticStats::deadlocked_stub(load),
-                    telemetry: None,
-                }
-            }
+            points.push(SweepPoint {
+                load,
+                stats: SyntheticStats::deadlocked_stub(load),
+                telemetry: None,
+            });
+            continue;
         };
-        points.push(point);
+        match slot.fate {
+            SlotFate::Fresh { retries } => {
+                summary.completed += 1;
+                if retries > 0 {
+                    summary.retried += 1;
+                }
+            }
+            SlotFate::Resumed => summary.skipped_by_resume += 1,
+            SlotFate::Exhausted => {
+                summary.exhausted += 1;
+                notices.push(SweepNotice::exhausted(idx, load));
+            }
+            SlotFate::Panicked { msg } => {
+                summary.panicked += 1;
+                notices.push(SweepNotice::panicked(idx, load, &msg));
+            }
+        }
+        if first_wedge == Some(idx) {
+            notices.push(SweepNotice::wedged(idx, load));
+        }
+        // Outputs of points stubbed above (simulated only by racing
+        // ahead of the watermark) were dropped with their stats; the
+        // survivors are pushed in index order, so merged trace files and
+        // ledger manifests are the same at every thread count.
+        traces.extend(slot.trace.map(|trace| PointTrace {
+            index: idx,
+            load,
+            trace,
+        }));
+        ledgers.extend(slot.ledger.map(|ledger| PointLedger {
+            index: idx,
+            load,
+            ledger,
+        }));
+        points.push(slot.point);
+    }
+    for notice in &notices {
+        crate::obs::notice(notice);
     }
     crate::obs::sweep_finished(&crate::obs::SweepAccounting {
         completed: summary.completed as u64,
@@ -481,24 +607,29 @@ pub fn supervised_load_sweep_hooked(
         exhausted: summary.exhausted as u64,
         resumed: summary.skipped_by_resume as u64,
         not_run: summary.not_run as u64,
-        stubbed: stub_count,
+        stubbed,
     });
-    SupervisedSweep {
+    Swept {
         outcome: SweepOutcome { points, notices },
         summary,
+        traces,
+        ledgers,
     }
 }
 
 /// One point's retry loop: decide chaos for the attempt, run isolated,
 /// retry panics and exhaustions with deterministic backoff, give up
 /// into a coded fate after `max_retries`.
-fn run_supervised_point(
-    runner: &mut PointRunner<'_>,
+fn run_supervised_point<P>(
+    point: &mut P,
     idx: usize,
     load: f64,
     pseed: u64,
     sup: &SuperviseConfig,
-) -> (SyntheticStats, SlotFate) {
+) -> Slot
+where
+    P: FnMut(usize, f64, Option<EngineChaos>) -> Result<RunOutput, String>,
+{
     let mut attempt: u32 = 0;
     loop {
         let chaos = sup.chaos.as_ref().and_then(|c| c.decide(pseed, attempt));
@@ -509,22 +640,20 @@ fn run_supervised_point(
             };
             crate::obs::chaos_armed(idx, attempt, kind, c.after_events);
         }
-        runner.set_chaos(chaos);
-        let result = runner.run_point_isolated(idx, load, None, None, None);
-        runner.set_chaos(None);
-        let reason = match result {
-            Ok((stats, ..)) if !stats.exhausted => {
-                return (stats, SlotFate::Fresh { retries: attempt });
+        let reason = match point(idx, load, chaos) {
+            Ok(out) if !out.stats.exhausted => {
+                return Slot::ran(load, out, SlotFate::Fresh { retries: attempt });
             }
-            Ok((stats, ..)) => {
+            Ok(out) => {
                 if attempt >= sup.max_retries {
-                    return (stats, SlotFate::Exhausted);
+                    return Slot::ran(load, out, SlotFate::Exhausted);
                 }
                 "exhausted"
             }
             Err(msg) => {
                 if attempt >= sup.max_retries {
-                    return (SyntheticStats::panicked_stub(load), SlotFate::Panicked { msg });
+                    let stub = SyntheticStats::panicked_stub(load);
+                    return Slot::bare(load, stub, SlotFate::Panicked { msg });
                 }
                 "panic"
             }
@@ -550,6 +679,100 @@ mod tests {
         let net = slim_fly(5, SlimFlyP::Floor);
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
         (net, policy, SyntheticPattern::Uniform)
+    }
+
+    /// A plain sweep's settings: no retries, no chaos.
+    fn plain() -> SuperviseConfig {
+        SuperviseConfig {
+            max_retries: 0,
+            threads: 1,
+            ..SuperviseConfig::default()
+        }
+    }
+
+    fn ran(stats: SyntheticStats) -> Result<RunOutput, String> {
+        Ok(RunOutput {
+            stats,
+            telemetry: None,
+            trace: None,
+            ledger: None,
+        })
+    }
+
+    #[test]
+    fn early_abort_stubs_higher_loads_and_raises_one_notice() {
+        // Drive the sweep loop with a synthetic "wedges at 0.5" run.
+        let simulated = Mutex::new(Vec::new());
+        let loads = [0.25, 0.5, 0.75, 1.0];
+        let hooks = SuperviseHooks::default();
+        let out = drive(&loads, 0, 1, &plain(), &hooks, None, || {
+            |_: usize, load: f64, _: Option<EngineChaos>| {
+                simulated.lock().unwrap().push(load);
+                let mut stats = SyntheticStats::deadlocked_stub(load);
+                stats.deadlocked = load >= 0.5;
+                stats.throughput = load;
+                ran(stats)
+            }
+        })
+        .outcome;
+        assert_eq!(simulated.into_inner().unwrap(), vec![0.25, 0.5]);
+        let points = &out.points;
+        assert_eq!(points.len(), 4);
+        assert!(!points[0].stats.deadlocked);
+        assert!(points[1].stats.deadlocked);
+        assert!(points[2].stats.deadlocked && points[2].stats.throughput == 0.0);
+        assert!(points[3].stats.deadlocked && points[3].stats.delivered_packets == 0);
+        assert_eq!(out.notices.len(), 1);
+        assert_eq!(out.notices[0].code, "wedged");
+        assert_eq!(out.notices[0].index, 1);
+        assert!((out.notices[0].load - 0.5).abs() < 1e-12);
+        assert!(out.notices[0].render().contains("wedged at offered load 0.500"));
+    }
+
+    #[test]
+    fn panicked_point_raises_coded_notice_without_aborting_the_sweep() {
+        let simulated = Mutex::new(Vec::new());
+        let hooks = SuperviseHooks::default();
+        let out = drive(&[0.25, 0.5, 0.75], 0, 1, &plain(), &hooks, None, || {
+            |_: usize, load: f64, _: Option<EngineChaos>| {
+                simulated.lock().unwrap().push(load);
+                if (load - 0.5).abs() < 1e-12 {
+                    return Err("boom".to_string());
+                }
+                let mut stats = SyntheticStats::deadlocked_stub(load);
+                stats.deadlocked = false;
+                ran(stats)
+            }
+        })
+        .outcome;
+        // Every load simulated: the panic at 0.5 did not stub 0.75.
+        assert_eq!(simulated.into_inner().unwrap(), vec![0.25, 0.5, 0.75]);
+        assert!(out.points[1].stats.deadlocked, "panicked stub is unusable");
+        assert!(!out.points[2].stats.deadlocked);
+        assert_eq!(out.notices.len(), 1);
+        assert_eq!(out.notices[0].code, "panicked");
+        assert_eq!(out.notices[0].index, 1);
+        assert!(out.notices[0].message.contains("boom"));
+    }
+
+    #[test]
+    fn exhausted_point_keeps_partial_stats_and_raises_coded_notice() {
+        let hooks = SuperviseHooks::default();
+        let out = drive(&[0.25, 0.5], 0, 1, &plain(), &hooks, None, || {
+            |_: usize, load: f64, _: Option<EngineChaos>| {
+                let mut stats = SyntheticStats::deadlocked_stub(load);
+                stats.deadlocked = false;
+                stats.exhausted = (load - 0.5).abs() < 1e-12;
+                stats.throughput = load * 0.9;
+                ran(stats)
+            }
+        })
+        .outcome;
+        assert!(out.points[1].stats.exhausted);
+        assert!(out.points[1].stats.throughput > 0.0, "partial stats kept");
+        assert_eq!(out.notices.len(), 1);
+        assert_eq!(out.notices[0].code, "exhausted");
+        assert_eq!(out.notices[0].index, 1);
     }
 
     #[test]

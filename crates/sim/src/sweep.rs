@@ -1,18 +1,18 @@
 //! Load sweeps and saturation search — the X axes of the paper's
 //! throughput/delay figures (Figs. 6–12).
 //!
-//! Every sweep point runs from an **index-derived seed**
-//! ([`point_seed`]), so a point's simulated schedule depends only on
-//! `(base seed, index)` — never on which points ran before it or on
-//! which thread. That is what lets [`crate::par::par_load_sweep`] return
-//! byte-identical results to the serial functions here.
+//! Every sweep runs through one driver (see [`crate::supervise`]); the
+//! serial [`load_sweep_collect`] is that driver on one thread. Every
+//! sweep point runs from an **index-derived seed** ([`point_seed`]), so
+//! a point's simulated schedule depends only on `(base seed, index)` —
+//! never on which points ran before it or on which thread. That is what
+//! makes a sweep byte-identical at every thread count.
 
 use crate::config::{EngineChaos, SimConfig};
 use crate::engine::{synthetic_sources, Engine};
-use crate::ledger::{EngineLedger, LedgerConfig, PointLedger};
+use crate::shard::{Observers, RunOutput};
 use crate::stats::SyntheticStats;
-use crate::telemetry::{ProbeConfig, TelemetryReport, TelemetrySummary};
-use crate::trace::{EngineTrace, PointTrace, TraceConfig};
+use crate::telemetry::TelemetrySummary;
 use d2net_routing::RoutePolicy;
 use d2net_topo::Network;
 use d2net_traffic::SyntheticPattern;
@@ -26,7 +26,8 @@ pub struct SweepPoint {
     pub load: f64,
     pub stats: SyntheticStats,
     /// Present when the sweep ran with a probe attached
-    /// ([`load_sweep_probed`]); plain [`load_sweep`] leaves it `None`.
+    /// ([`crate::par_load_sweep_probed_collect`]); plain [`load_sweep`]
+    /// leaves it `None`.
     pub telemetry: Option<TelemetrySummary>,
 }
 
@@ -113,6 +114,21 @@ impl SweepNotice {
         }
     }
 
+    /// A supervised sweep stopped by its stop signal before point `index`
+    /// was claimed; that point and the other unclaimed ones are left for
+    /// resume.
+    pub(crate) fn deadline(index: usize, load: f64) -> Self {
+        SweepNotice {
+            code: "deadline",
+            index,
+            load,
+            message: format!(
+                "sweep stopped before offered load {load:.3}; \
+                 remaining points left for resume"
+            ),
+        }
+    }
+
     /// One-line rendering, as the legacy stderr message.
     pub fn render(&self) -> String {
         format!("load_sweep: {}", self.message)
@@ -164,24 +180,6 @@ impl SweepOutcome {
     }
 }
 
-/// How one sweep point ended — the discriminator [`sweep_impl`] (and
-/// the parallel post-pass in [`crate::par`]) uses to decide which
-/// notice, if any, a point raises. Kept separate from the stats so a
-/// panicked point (whose stub also reads `deadlocked`) never triggers
-/// the wedge early-abort: a panic is an isolated fault, not evidence
-/// the network deadlocks at every higher load.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum PointFate {
-    /// Ran to completion; the stats are real (and may report a genuine
-    /// wedge or a budget exhaustion).
-    Simulated,
-    /// Stubbed without simulating because a lower load already wedged.
-    Skipped,
-    /// The simulation panicked and was isolated; carries the panic
-    /// message. The point holds a [`SyntheticStats::panicked_stub`].
-    Panicked(String),
-}
-
 /// Extracts a human-readable message from a `catch_unwind` payload.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -224,8 +222,9 @@ pub(crate) fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
 /// Derives the RNG seed for sweep point `idx` from the config's base
 /// seed: a SplitMix64-style finalizer over `base ⊕ golden·(idx+1)`.
 /// Deterministic, order-free, and well-spread even for adjacent indices
-/// — serial and parallel sweeps both seed every point through here.
-/// (Single runs via [`crate::run_synthetic`] keep the raw `cfg.seed`.)
+/// — every sweep point, at every thread and shard count, is seeded
+/// through here. (Single runs via [`crate::run_synthetic`] keep the raw
+/// `cfg.seed`.)
 pub fn point_seed(base: u64, idx: usize) -> u64 {
     let mut z = base ^ (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -235,15 +234,15 @@ pub fn point_seed(base: u64, idx: usize) -> u64 {
 
 /// Simulates successive points of one sweep on a single reusable
 /// [`Engine`]: the first point builds it, later points [`Engine::reset`]
-/// it, so the flat per-port state is allocated once per curve (serial)
-/// or once per worker (parallel) instead of once per point.
+/// it, so the flat per-port state is allocated once per sweep worker
+/// instead of once per point.
 pub(crate) struct PointRunner<'a> {
     net: &'a Network,
     policy: &'a RoutePolicy,
     pattern: &'a SyntheticPattern,
     cfg: SimConfig,
-    end_ps: u64,
-    warmup_ps: u64,
+    duration_ns: u64,
+    warmup_ns: u64,
     /// Intra-run shard count every point uses (see
     /// [`crate::shard::plan_shards`]); at `1` points run on the
     /// reusable serial engine below, otherwise each point runs the
@@ -282,8 +281,8 @@ impl<'a> PointRunner<'a> {
             policy,
             pattern,
             cfg,
-            end_ps: duration_ns * 1_000,
-            warmup_ps: warmup_ns * 1_000,
+            duration_ns,
+            warmup_ns,
             shards: crate::shard::plan_shards(net, policy, &cfg),
             engine: None,
             chaos: None,
@@ -298,25 +297,14 @@ impl<'a> PointRunner<'a> {
 
     /// Runs point `idx` at `load`; the result depends only on
     /// `(cfg, idx, load)`, never on previously run points.
-    pub(crate) fn run_point(
-        &mut self,
-        idx: usize,
-        load: f64,
-        probe: Option<ProbeConfig>,
-        trace: Option<TraceConfig>,
-        ledger: Option<LedgerConfig>,
-    ) -> (
-        SyntheticStats,
-        Option<TelemetryReport>,
-        Option<EngineTrace>,
-        Option<EngineLedger>,
-    ) {
+    pub(crate) fn run_point(&mut self, idx: usize, load: f64, observers: Observers) -> RunOutput {
+        let seed = point_seed(self.cfg.seed, idx);
         if self.shards > 1 {
             // The sharded runner re-derives the run's randomness from
             // `cfg.seed`; substituting the point seed reproduces
             // exactly the stream the serial branch below would use.
             let mut pcfg = self.cfg;
-            pcfg.seed = point_seed(self.cfg.seed, idx);
+            pcfg.seed = seed;
             if self.chaos.is_some() {
                 pcfg.chaos = self.chaos;
             }
@@ -326,20 +314,20 @@ impl<'a> PointRunner<'a> {
                 self.pattern,
                 None,
                 load,
-                self.end_ps,
-                self.warmup_ps,
+                self.duration_ns,
+                self.warmup_ns,
                 pcfg,
-                probe,
-                trace,
-                ledger,
+                observers,
             )
             .expect("point parameters were validated in try_new");
         }
-        let mut rng = SmallRng::seed_from_u64(point_seed(self.cfg.seed, idx));
-        let sources = synthetic_sources(self.net, self.pattern, load, self.end_ps, &self.cfg, &mut rng);
+        let end_ps = self.duration_ns * 1_000;
+        let warmup_ps = self.warmup_ns * 1_000;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let sources = synthetic_sources(self.net, self.pattern, load, end_ps, &self.cfg, &mut rng);
         let engine = match &mut self.engine {
             Some(e) => {
-                e.reset(sources, self.warmup_ps, rng);
+                e.reset(sources, warmup_ps, rng);
                 e
             }
             None => self.engine.insert(Engine::new(
@@ -347,24 +335,13 @@ impl<'a> PointRunner<'a> {
                 self.policy,
                 self.cfg,
                 sources,
-                self.warmup_ps,
+                warmup_ps,
                 rng,
             )),
         };
         engine.set_chaos(self.chaos.or(self.cfg.chaos));
-        if let Some(p) = probe {
-            engine.attach_probe(p);
-        }
-        if let Some(t) = trace {
-            engine.attach_trace(t);
-        }
-        if let Some(l) = ledger {
-            engine.attach_ledger(l);
-        }
-        let (stats, report) = engine.run_synthetic_to(load, self.end_ps);
-        let tr = engine.take_trace();
-        let led = engine.take_ledger();
-        (stats, report, tr, led)
+        observers.attach(engine);
+        RunOutput::serial(engine, load, end_ps)
     }
 
     /// [`PointRunner::run_point`] behind `catch_unwind`: a panicking
@@ -372,43 +349,29 @@ impl<'a> PointRunner<'a> {
     /// into (and killing) the sweep. The reusable engine is dropped on
     /// the way out — it may hold arbitrary torn state — so the next
     /// point rebuilds from scratch.
-    #[allow(clippy::type_complexity)]
     pub(crate) fn run_point_isolated(
         &mut self,
         idx: usize,
         load: f64,
-        probe: Option<ProbeConfig>,
-        trace: Option<TraceConfig>,
-        ledger: Option<LedgerConfig>,
-    ) -> Result<
-        (
-            SyntheticStats,
-            Option<TelemetryReport>,
-            Option<EngineTrace>,
-            Option<EngineLedger>,
-        ),
-        String,
-    > {
+        observers: Observers,
+    ) -> Result<RunOutput, String> {
         let obs_t0 = crate::obs::enabled().then(std::time::Instant::now);
         let result = with_quiet_panics(|| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.run_point(idx, load, probe, trace, ledger)
+                self.run_point(idx, load, observers)
             }))
         });
-        let result = match result {
-            Ok(out) => Ok(out),
-            Err(payload) => {
-                self.engine = None;
-                Err(panic_message(payload.as_ref()))
-            }
-        };
+        let result = result.map_err(|payload| {
+            self.engine = None;
+            panic_message(payload.as_ref())
+        });
         // Observer-only: live progress for every attempt, after the
         // result is fully formed — nothing here can influence it.
         if let Some(t0) = obs_t0 {
             let wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
             let events = crate::obs::take_run_events();
             match &result {
-                Ok((stats, ..)) => crate::obs::point_run(
+                Ok(RunOutput { stats, .. }) => crate::obs::point_run(
                     idx,
                     load,
                     wall_ms,
@@ -425,7 +388,8 @@ impl<'a> PointRunner<'a> {
 }
 
 /// Simulates `net` at each offered load in `loads`, returning one curve
-/// point per load plus any [`SweepNotice`]s raised.
+/// point per load plus any [`SweepNotice`]s raised — the sweep driver on
+/// the caller's thread.
 ///
 /// If a point wedges, the remaining (higher) loads are not simulated: a
 /// deadlocked network stays deadlocked under more pressure, and each
@@ -441,32 +405,7 @@ pub fn load_sweep_collect(
     warmup_ns: u64,
     cfg: SimConfig,
 ) -> SweepOutcome {
-    // One static pass covers every load point: verification is
-    // load-independent, so the per-point configs run with it disabled.
-    let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
-        Ok(cfg) => cfg,
-        Err(e) => return rejected_outcome(loads, e),
-    };
-    let mut runner = match PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        Ok(r) => r,
-        Err(e) => return rejected_outcome(loads, e),
-    };
-    sweep_impl(loads, |idx, load, first_wedge| {
-        if first_wedge.is_some() {
-            return stub_point(load);
-        }
-        match runner.run_point_isolated(idx, load, None, None, None) {
-            Ok((stats, ..)) => (
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry: None,
-                },
-                PointFate::Simulated,
-            ),
-            Err(msg) => panicked_point(load, msg),
-        }
-    })
+    crate::par::par_load_sweep_collect(net, policy, pattern, loads, duration_ns, warmup_ns, cfg, 1)
 }
 
 /// [`load_sweep_collect`], printing notices to stderr and returning the
@@ -483,239 +422,6 @@ pub fn load_sweep(
     let out = load_sweep_collect(net, policy, pattern, loads, duration_ns, warmup_ns, cfg);
     out.print_notices();
     out.points
-}
-
-/// [`load_sweep_collect`] with an observability probe attached to every
-/// simulated point; each [`SweepPoint`] carries its [`TelemetrySummary`].
-#[allow(clippy::too_many_arguments)]
-pub fn load_sweep_probed_collect(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-) -> SweepOutcome {
-    let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
-        Ok(cfg) => cfg,
-        Err(e) => return rejected_outcome(loads, e),
-    };
-    let mut runner = match PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        Ok(r) => r,
-        Err(e) => return rejected_outcome(loads, e),
-    };
-    sweep_impl(loads, |idx, load, first_wedge| {
-        if first_wedge.is_some() {
-            return stub_point(load);
-        }
-        match runner.run_point_isolated(idx, load, Some(probe), None, None) {
-            Ok((stats, report, _, _)) => (
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry: Some(report.expect("probe was attached").summary()),
-                },
-                PointFate::Simulated,
-            ),
-            Err(msg) => panicked_point(load, msg),
-        }
-    })
-}
-
-/// [`load_sweep`] with an observability probe attached to every simulated
-/// point; each [`SweepPoint`] carries its [`TelemetrySummary`].
-#[allow(clippy::too_many_arguments)]
-pub fn load_sweep_probed(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    probe: ProbeConfig,
-) -> Vec<SweepPoint> {
-    let out =
-        load_sweep_probed_collect(net, policy, pattern, loads, duration_ns, warmup_ns, cfg, probe);
-    out.print_notices();
-    out.points
-}
-
-/// [`load_sweep_collect`] with a [`TraceConfig`] attached to every
-/// simulated point. Returns the outcome plus one [`PointTrace`] per
-/// *simulated* point, in index order — wedge-stubbed points have no
-/// trace, exactly like the parallel variant, so serial and parallel
-/// trace files stay byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn load_sweep_traced_collect(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    trace: TraceConfig,
-) -> (SweepOutcome, Vec<PointTrace>) {
-    let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
-        Ok(cfg) => cfg,
-        Err(e) => return (rejected_outcome(loads, e), Vec::new()),
-    };
-    let mut runner = match PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        Ok(r) => r,
-        Err(e) => return (rejected_outcome(loads, e), Vec::new()),
-    };
-    let mut traces = Vec::new();
-    let out = sweep_impl(loads, |idx, load, first_wedge| {
-        if first_wedge.is_some() {
-            return stub_point(load);
-        }
-        match runner.run_point_isolated(idx, load, None, Some(trace), None) {
-            Ok((stats, _, tr, _)) => {
-                traces.push(PointTrace {
-                    index: idx,
-                    load,
-                    trace: tr.expect("trace was attached"),
-                });
-                (
-                    SweepPoint {
-                        load,
-                        stats,
-                        telemetry: None,
-                    },
-                    PointFate::Simulated,
-                )
-            }
-            // A panicked point has no trace — same as the parallel
-            // variant, which drops traces of stubbed points.
-            Err(msg) => panicked_point(load, msg),
-        }
-    });
-    (out, traces)
-}
-
-/// [`load_sweep_collect`] with a [`LedgerConfig`] attached to every
-/// simulated point. Returns the outcome plus one [`PointLedger`] per
-/// *simulated* point, in index order — wedge-stubbed points have no
-/// ledger, exactly like the parallel variant, so serial and parallel
-/// ledger serializations stay byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn load_sweep_ledgered_collect(
-    net: &Network,
-    policy: &RoutePolicy,
-    pattern: &SyntheticPattern,
-    loads: &[f64],
-    duration_ns: u64,
-    warmup_ns: u64,
-    cfg: SimConfig,
-    ledger: LedgerConfig,
-) -> (SweepOutcome, Vec<PointLedger>) {
-    let cfg = match crate::engine::try_preflight_once(net, policy, cfg) {
-        Ok(cfg) => cfg,
-        Err(e) => return (rejected_outcome(loads, e), Vec::new()),
-    };
-    let mut runner = match PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns) {
-        Ok(r) => r,
-        Err(e) => return (rejected_outcome(loads, e), Vec::new()),
-    };
-    let mut ledgers = Vec::new();
-    let out = sweep_impl(loads, |idx, load, first_wedge| {
-        if first_wedge.is_some() {
-            return stub_point(load);
-        }
-        match runner.run_point_isolated(idx, load, None, None, Some(ledger)) {
-            Ok((stats, _, _, led)) => {
-                ledgers.push(PointLedger {
-                    index: idx,
-                    load,
-                    ledger: led.expect("ledger was attached"),
-                });
-                (
-                    SweepPoint {
-                        load,
-                        stats,
-                        telemetry: None,
-                    },
-                    PointFate::Simulated,
-                )
-            }
-            Err(msg) => panicked_point(load, msg),
-        }
-    });
-    (out, ledgers)
-}
-
-/// Shared early-abort loop: `point` receives the index, the load and,
-/// once any point has wedged, the load that first wedged, and reports
-/// how the point ended via its [`PointFate`]. Only a genuinely
-/// simulated wedge arms the early-abort; panicked and budget-exhausted
-/// points raise their coded notice and let the sweep continue.
-fn sweep_impl(
-    loads: &[f64],
-    mut point: impl FnMut(usize, f64, Option<f64>) -> (SweepPoint, PointFate),
-) -> SweepOutcome {
-    crate::obs::sweep_started(loads.len());
-    let mut acc = crate::obs::SweepAccounting::default();
-    let mut points = Vec::with_capacity(loads.len());
-    let mut notices = Vec::new();
-    let mut first_wedge: Option<f64> = None;
-    for (idx, &load) in loads.iter().enumerate() {
-        let (p, fate) = point(idx, load, first_wedge);
-        match fate {
-            PointFate::Simulated => {
-                // `deadlocked` and `exhausted` are mutually exclusive: a
-                // budget abort returns before the wedge check runs.
-                if p.stats.exhausted {
-                    acc.exhausted += 1;
-                    notices.push(SweepNotice::exhausted(idx, load));
-                    crate::obs::notice(notices.last().unwrap());
-                } else {
-                    acc.completed += 1;
-                }
-                if p.stats.deadlocked && first_wedge.is_none() {
-                    first_wedge = Some(load);
-                    notices.push(SweepNotice::wedged(idx, load));
-                    crate::obs::notice(notices.last().unwrap());
-                }
-            }
-            PointFate::Skipped => acc.stubbed += 1,
-            PointFate::Panicked(msg) => {
-                acc.panicked += 1;
-                notices.push(SweepNotice::panicked(idx, load, &msg));
-                crate::obs::notice(notices.last().unwrap());
-            }
-        }
-        points.push(p);
-    }
-    crate::obs::sweep_finished(&acc);
-    SweepOutcome { points, notices }
-}
-
-/// The stub-or-simulate skeleton every serial sweep closure shares:
-/// stubs once a lower load wedged, otherwise runs the point isolated
-/// and maps a panic to its stub + fate.
-fn stub_point(load: f64) -> (SweepPoint, PointFate) {
-    (
-        SweepPoint {
-            load,
-            stats: SyntheticStats::deadlocked_stub(load),
-            telemetry: None,
-        },
-        PointFate::Skipped,
-    )
-}
-
-fn panicked_point(load: f64, msg: String) -> (SweepPoint, PointFate) {
-    (
-        SweepPoint {
-            load,
-            stats: SyntheticStats::panicked_stub(load),
-            telemetry: None,
-        },
-        PointFate::Panicked(msg),
-    )
 }
 
 /// The standard load grid used by the figure harness: `steps` evenly
@@ -794,94 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn early_abort_stubs_higher_loads_and_raises_one_notice() {
-        // Simulate the sweep loop with a synthetic "wedges at 0.5" run.
-        let mut simulated = Vec::new();
-        let out = sweep_impl(&[0.25, 0.5, 0.75, 1.0], |_, load, first_wedge| {
-            if first_wedge.is_some() {
-                return stub_point(load);
-            }
-            simulated.push(load);
-            let mut stats = SyntheticStats::deadlocked_stub(load);
-            stats.deadlocked = load >= 0.5;
-            stats.throughput = load;
-            (
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry: None,
-                },
-                PointFate::Simulated,
-            )
-        });
-        assert_eq!(simulated, vec![0.25, 0.5]);
-        let points = &out.points;
-        assert_eq!(points.len(), 4);
-        assert!(!points[0].stats.deadlocked);
-        assert!(points[1].stats.deadlocked);
-        assert!(points[2].stats.deadlocked && points[2].stats.throughput == 0.0);
-        assert!(points[3].stats.deadlocked && points[3].stats.delivered_packets == 0);
-        assert_eq!(out.notices.len(), 1);
-        assert_eq!(out.notices[0].code, "wedged");
-        assert_eq!(out.notices[0].index, 1);
-        assert!((out.notices[0].load - 0.5).abs() < 1e-12);
-        assert!(out.notices[0].render().contains("wedged at offered load 0.500"));
-    }
-
-    #[test]
-    fn panicked_point_raises_coded_notice_without_aborting_the_sweep() {
-        let mut simulated = Vec::new();
-        let out = sweep_impl(&[0.25, 0.5, 0.75], |_, load, first_wedge| {
-            assert!(first_wedge.is_none(), "a panic must not arm early-abort");
-            simulated.push(load);
-            if (load - 0.5).abs() < 1e-12 {
-                return panicked_point(load, "boom".to_string());
-            }
-            let mut stats = SyntheticStats::deadlocked_stub(load);
-            stats.deadlocked = false;
-            (
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry: None,
-                },
-                PointFate::Simulated,
-            )
-        });
-        // Every load simulated: the panic at 0.5 did not stub 0.75.
-        assert_eq!(simulated, vec![0.25, 0.5, 0.75]);
-        assert!(out.points[1].stats.deadlocked, "panicked stub is unusable");
-        assert!(!out.points[2].stats.deadlocked);
-        assert_eq!(out.notices.len(), 1);
-        assert_eq!(out.notices[0].code, "panicked");
-        assert_eq!(out.notices[0].index, 1);
-        assert!(out.notices[0].message.contains("boom"));
-    }
-
-    #[test]
-    fn exhausted_point_keeps_partial_stats_and_raises_coded_notice() {
-        let out = sweep_impl(&[0.25, 0.5], |_, load, _| {
-            let mut stats = SyntheticStats::deadlocked_stub(load);
-            stats.deadlocked = false;
-            stats.exhausted = (load - 0.5).abs() < 1e-12;
-            stats.throughput = load * 0.9;
-            (
-                SweepPoint {
-                    load,
-                    stats,
-                    telemetry: None,
-                },
-                PointFate::Simulated,
-            )
-        });
-        assert!(out.points[1].stats.exhausted);
-        assert!(out.points[1].stats.throughput > 0.0, "partial stats kept");
-        assert_eq!(out.notices.len(), 1);
-        assert_eq!(out.notices[0].code, "exhausted");
-        assert_eq!(out.notices[0].index, 1);
-    }
-
-    #[test]
     fn run_point_isolated_catches_chaos_panics_and_recovers() {
         use crate::config::{ChaosKind, EngineChaos};
         use d2net_routing::Algorithm;
@@ -902,21 +520,21 @@ mod tests {
             after_events: 300,
         }));
         let err = runner
-            .run_point_isolated(0, 0.3, None, None, None)
+            .run_point_isolated(0, 0.3, Observers::default())
             .unwrap_err();
         assert!(err.contains("chaos: injected panic"), "{err}");
 
         // Disarm: the very next point on the same runner must simulate
         // normally (the torn engine was dropped and rebuilt).
         runner.set_chaos(None);
-        let (stats, ..) = runner.run_point_isolated(1, 0.3, None, None, None).unwrap();
+        let stats = runner.run_point_isolated(1, 0.3, Observers::default()).unwrap().stats;
         assert!(!stats.deadlocked);
         assert!(stats.delivered_packets > 0);
 
         // And it must be byte-identical to a fresh runner that never
         // saw the panic — isolation cannot leak into later points.
         let mut clean = PointRunner::try_new(&net, &policy, &pattern, cfg, 2_000, 200).unwrap();
-        let (clean_stats, ..) = clean.run_point_isolated(1, 0.3, None, None, None).unwrap();
+        let clean_stats = clean.run_point_isolated(1, 0.3, Observers::default()).unwrap().stats;
         assert_eq!(stats, clean_stats);
     }
 }

@@ -4,8 +4,8 @@
 //! diameter-two topologies of Kathareios et al. (SC '15):
 //!
 //! - [`slimfly`]: the direct Slim Fly over McKay–Miller–Širáň graphs;
-//! - [`mlfm`]: the Multi-Layer Full-Mesh (SSPT with `r2 = 2`);
-//! - [`oft`]: the two-level Orthogonal Fat-Tree (SSPT with `r2 = r1`),
+//! - [`mlfm`](mod@mlfm): the Multi-Layer Full-Mesh (SSPT with `r2 = 2`);
+//! - [`oft`](mod@oft): the two-level Orthogonal Fat-Tree (SSPT with `r2 = r1`),
 //!   built from the `k`-ML3B / projective-plane incidence;
 //! - [`spt`]: the Stacked Single-Path Tree class laws and validators;
 //! - [`fattree`], [`hyperx`]: the reference designs of the paper's

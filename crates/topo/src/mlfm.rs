@@ -1,4 +1,4 @@
-//! The Multi-Layer Full-Mesh (paper §2.2.3; Fujitsu [9]).
+//! The Multi-Layer Full-Mesh (paper §2.2.3; Fujitsu \[9\]).
 //!
 //! An `(h, l, p)`-MLFM stacks `l` layers of `h + 1` local routers (LRs).
 //! Each pair of LR *positions* `{a, b}` in the underlying full mesh is

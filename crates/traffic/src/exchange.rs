@@ -45,7 +45,7 @@ impl Exchange {
 /// Builds an all-to-all exchange over `n` ranks: each rank sends
 /// `bytes_per_pair` to every other rank. Messages are staged in the
 /// classic phase order `dst = (src + phase) mod n`, `phase = 1..n`
-/// (after Kumar et al. [12]), which spreads simultaneous traffic across
+/// (after Kumar et al. \[12\]), which spreads simultaneous traffic across
 /// destinations instead of convoying on rank 0.
 pub fn all_to_all(n: u32, bytes_per_pair: u64) -> Exchange {
     assert!(n >= 2);
@@ -68,7 +68,7 @@ pub fn all_to_all(n: u32, bytes_per_pair: u64) -> Exchange {
 /// Builds an all-to-all exchange with each node's destination order
 /// independently randomized (seeded). This models the de-synchronized
 /// pairwise scheduling of optimized A2A implementations (Kumar et al.
-/// [12]): at any instant the aggregate traffic resembles global uniform
+/// \[12\]): at any instant the aggregate traffic resembles global uniform
 /// traffic instead of a synchronized shift permutation, avoiding
 /// transient single-path hotspots.
 pub fn all_to_all_shuffled(n: u32, bytes_per_pair: u64, seed: u64) -> Exchange {

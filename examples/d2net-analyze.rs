@@ -170,7 +170,7 @@ fn main() {
         let pa = analyze_policy(&net, &policy, &tm, &lat).expect("pristine network analyzes");
 
         let probe = ProbeConfig::default();
-        let serial = load_sweep_probed_collect(
+        let serial = par_load_sweep_probed_collect(
             &net,
             &policy,
             &SyntheticPattern::Uniform,
@@ -179,6 +179,7 @@ fn main() {
             params.warmup_ns,
             params.sim,
             probe,
+            1,
         );
         let parallel = par_load_sweep_probed_collect(
             &net,

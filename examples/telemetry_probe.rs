@@ -129,7 +129,7 @@ fn manifest() {
     let net = mlfm(4);
     let policy = RoutePolicy::new(&net, Algorithm::Minimal);
     let cfg = SimConfig::default();
-    let points = load_sweep_probed(
+    let out = par_load_sweep_probed_collect(
         &net,
         &policy,
         &SyntheticPattern::Uniform,
@@ -138,7 +138,10 @@ fn manifest() {
         6_000,
         cfg,
         ProbeConfig::default(),
+        1,
     );
+    out.print_notices();
+    let points = out.points;
     let mut m = RunManifest::new(
         "telemetry_probe demo sweep",
         &net,

@@ -61,7 +61,7 @@ fn ledger_does_not_perturb_stats() {
     let cfg = SimConfig::default();
     let pattern = worst_case(&net);
     let plain = load_sweep_collect(&net, &policy, &pattern, &LOADS, DURATION_NS, WARMUP_NS, cfg);
-    let (ledgered, ledgers) = load_sweep_ledgered_collect(
+    let (ledgered, ledgers) = par_load_sweep_ledgered_collect(
         &net,
         &policy,
         &pattern,
@@ -70,6 +70,7 @@ fn ledger_does_not_perturb_stats() {
         WARMUP_NS,
         cfg,
         LedgerConfig::default(),
+        1,
     );
     assert_eq!(
         plain, ledgered,
@@ -113,7 +114,7 @@ fn serial_and_parallel_ledgered_manifests_are_byte_identical() {
         c: 2.0,
         threshold: None,
     };
-    let (serial_out, serial) = load_sweep_ledgered_collect(
+    let (serial_out, serial) = par_load_sweep_ledgered_collect(
         &net,
         &policy,
         &pattern,
@@ -122,6 +123,7 @@ fn serial_and_parallel_ledgered_manifests_are_byte_identical() {
         WARMUP_NS,
         cfg,
         lc,
+        1,
     );
     let ser_json = ledgered_manifest(&net, algo, "UGAL-L", lc, &serial_out, &serial);
     for threads in [2, 4] {
@@ -239,11 +241,11 @@ fn manifest_decisions_section_roundtrips_and_compares() {
     let algo_g = Algorithm::UgalG { n_i: 4, c: 2.0 };
     let policy_g = RoutePolicy::new(&net, algo_g);
 
-    let (out_l, led_l) = load_sweep_ledgered_collect(
-        &net, &policy_l, &pattern, &LOADS, DURATION_NS, WARMUP_NS, cfg, lc,
+    let (out_l, led_l) = par_load_sweep_ledgered_collect(
+        &net, &policy_l, &pattern, &LOADS, DURATION_NS, WARMUP_NS, cfg, lc, 1,
     );
-    let (out_g, led_g) = load_sweep_ledgered_collect(
-        &net, &policy_g, &pattern, &LOADS, DURATION_NS, WARMUP_NS, cfg, lc,
+    let (out_g, led_g) = par_load_sweep_ledgered_collect(
+        &net, &policy_g, &pattern, &LOADS, DURATION_NS, WARMUP_NS, cfg, lc, 1,
     );
     let json_l = ledgered_manifest(&net, algo_l, "UGAL-L", lc, &out_l, &led_l);
     let json_g = ledgered_manifest(&net, algo_g, "UGAL-G", lc, &out_g, &led_g);

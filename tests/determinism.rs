@@ -11,8 +11,8 @@
 //! 4. sweep points must equal standalone runs with the derived per-point
 //!    seeds — the guard that engine reuse (`Engine::reset`) leaks no
 //!    state between points;
-//! 5. the sharded runner (`run_synthetic_sharded*`, and `run_exchange*`
-//!    on the same window coordinator) must be byte-identical to serial at
+//! 5. the sharded runner (`run_synthetic*`, and `run_exchange*` on the
+//!    same window coordinator) must be byte-identical to serial at
 //!    every shard count — stats, telemetry, traces (modulo the
 //!    queue-internal calendar counters, which are shard-local by
 //!    construction), ledgers, faulted runs and budget trips alike — and
@@ -69,8 +69,8 @@ fn par_probed_sweep_matches_serial_with_telemetry() {
         (slim_fly(5, SlimFlyP::Floor), worst_case(&slim_fly(5, SlimFlyP::Floor))),
     ] {
         let policy = RoutePolicy::new(&net, Algorithm::Minimal);
-        let serial = load_sweep_probed_collect(
-            &net, &policy, &pattern, &loads, 20_000, 4_000, cfg, probe,
+        let serial = par_load_sweep_probed_collect(
+            &net, &policy, &pattern, &loads, 20_000, 4_000, cfg, probe, 1,
         );
         let par = par_load_sweep_probed_collect(
             &net, &policy, &pattern, &loads, 20_000, 4_000, cfg, probe, 3,
@@ -198,6 +198,73 @@ fn early_abort_parity_on_wedging_ring() {
         );
         assert_outcomes_equal(&serial, &out, &format!("order {order:?}"));
     }
+
+    // The supervisor with retries off and no chaos is one more harness.
+    let sup = supervised_load_sweep_collect(
+        &net, &policy, &pattern, &loads, 50_000, 0, cfg, &no_retries(3),
+    );
+    assert_outcomes_equal(&serial, &sup.outcome, "supervised wedging ring");
+}
+
+/// Supervision with retries off and no chaos: a plain sweep's settings.
+fn no_retries(threads: usize) -> SuperviseConfig {
+    SuperviseConfig {
+        max_retries: 0,
+        chaos: None,
+        threads,
+        ..SuperviseConfig::default()
+    }
+}
+
+/// Budget exhaustion and isolated panics produce the same outcome —
+/// points, notice codes and messages — in the serial, parallel and
+/// supervised (retries off, no chaos) harnesses.
+#[test]
+fn exceptional_path_parity_between_plain_and_supervised_sweeps() {
+    let net = slim_fly(5, SlimFlyP::Floor);
+    let policy = RoutePolicy::new(&net, Algorithm::Minimal);
+    let pattern = SyntheticPattern::Uniform;
+    let loads = load_grid(4);
+    // Both trip on the higher loads only; the lowest load finishes.
+    let budgeted = SimConfig {
+        budget: RunBudget::events(320_000),
+        ..SimConfig::default()
+    };
+    let chaotic = SimConfig {
+        chaos: Some(EngineChaos {
+            kind: ChaosKind::Panic,
+            after_events: 320_000,
+        }),
+        ..SimConfig::default()
+    };
+    for (cfg, code) in [(budgeted, "exhausted"), (chaotic, "panicked")] {
+        let serial = load_sweep_collect(&net, &policy, &pattern, &loads, 6_000, 1_000, cfg);
+        let codes: Vec<&str> = serial.notices.iter().map(|n| n.code).collect();
+        assert!(
+            codes.contains(&code) && codes.len() < loads.len(),
+            "{code}: {codes:?}"
+        );
+        let par = par_load_sweep_collect(&net, &policy, &pattern, &loads, 6_000, 1_000, cfg, 3);
+        assert_eq!(par, serial, "{code}: parallel sweep diverged");
+        for threads in [1, 3] {
+            let sup = supervised_load_sweep_collect(
+                &net, &policy, &pattern, &loads, 6_000, 1_000, cfg, &no_retries(threads),
+            );
+            assert_eq!(sup.outcome, serial, "{code}: supervised sweep on {threads} threads");
+        }
+    }
+}
+
+/// A work order that is not a permutation would leave a point unrun and
+/// silently stub it; the driver refuses it in every build profile.
+#[test]
+#[should_panic(expected = "work order must be a permutation")]
+fn non_permutation_work_order_panics() {
+    let (net, policy, pattern, cfg) = wedging_ring();
+    let loads = [0.25, 0.5, 0.75, 1.0];
+    par_load_sweep_with_order(
+        &net, &policy, &pattern, &loads, 50_000, 0, cfg, 2, &[0, 0, 2, 3],
+    );
 }
 
 #[test]
@@ -401,7 +468,7 @@ fn sharded_run_matches_serial_across_families_patterns_and_algorithms() {
                     &net, &policy, &pattern, load, 20_000, 4_000, sharded_cfg(1),
                 );
                 for k in [2u32, 4, 7] {
-                    let sharded = run_synthetic_sharded(
+                    let sharded = run_synthetic(
                         &net, &policy, &pattern, load, 20_000, 4_000, sharded_cfg(k),
                     );
                     assert_eq!(
@@ -426,7 +493,7 @@ fn sharded_run_matches_serial_under_adaptive_routing() {
     let serial = run_synthetic(&net, &policy, &pattern, 0.8, 20_000, 4_000, sharded_cfg(1));
     for k in [2u32, 5] {
         let sharded =
-            run_synthetic_sharded(&net, &policy, &pattern, 0.8, 20_000, 4_000, sharded_cfg(k));
+            run_synthetic(&net, &policy, &pattern, 0.8, 20_000, 4_000, sharded_cfg(k));
         assert_eq!(sharded, serial, "{k} shards diverged under UGAL");
     }
 }
@@ -441,7 +508,7 @@ fn sharded_probed_run_matches_serial_telemetry_exactly() {
             sharded_cfg(1), probe,
         );
         for k in [2u32, 4] {
-            let (stats, tel) = run_synthetic_sharded_probed(
+            let (stats, tel) = run_synthetic_probed(
                 &net, &policy, &SyntheticPattern::Uniform, 0.7, 20_000, 4_000,
                 sharded_cfg(k), probe,
             );
@@ -461,7 +528,7 @@ fn sharded_traced_run_matches_serial_modulo_calendar_internals() {
             sharded_cfg(1), TraceConfig::default(),
         );
         for k in [2u32, 4] {
-            let (stats, mut trace) = run_synthetic_sharded_traced(
+            let (stats, mut trace) = run_synthetic_traced(
                 &net, &policy, &SyntheticPattern::Uniform, 0.7, 20_000, 4_000,
                 sharded_cfg(k), TraceConfig::default(),
             );
@@ -489,7 +556,7 @@ fn sharded_ledgered_run_matches_serial_ledger_exactly() {
     );
     assert!(serial_led.decisions > 0, "ledger must see decisions");
     for k in [2u32, 5] {
-        let (stats, led) = run_synthetic_sharded_ledgered(
+        let (stats, led) = run_synthetic_ledgered(
             &net, &policy, &pattern, 0.8, 20_000, 4_000, sharded_cfg(k),
             LedgerConfig::default(),
         );
@@ -512,7 +579,7 @@ fn sharded_faulted_run_matches_serial_through_window_barriers() {
         )
         .expect("faulted run constructs");
         for k in [2u32, 4] {
-            let sharded = run_synthetic_sharded_faulted(
+            let sharded = run_synthetic_faulted(
                 &net, &policy, &SyntheticPattern::Uniform, &schedule, 0.5, 40_000, 8_000,
                 sharded_cfg(k),
             )
@@ -538,7 +605,7 @@ fn sharded_faulted_probed_run_matches_serial_link_down_accounting() {
     .expect("faulted probed run constructs");
     assert!(serial_tel.total_link_down_events > 0);
     for k in [2u32, 4] {
-        let (stats, tel) = run_synthetic_sharded_faulted_probed(
+        let (stats, tel) = run_synthetic_faulted_probed(
             &net, &policy, &SyntheticPattern::Uniform, &schedule, 0.5, 30_000, 6_000,
             sharded_cfg(k), probe,
         )
@@ -585,7 +652,7 @@ fn sharded_wedge_detection_matches_serial() {
     );
     assert!(serial_stats.deadlocked, "the ring must wedge");
     for k in [2u32, 5] {
-        let (stats, tel) = run_synthetic_sharded_probed(
+        let (stats, tel) = run_synthetic_probed(
             &net, &policy, &pattern, 1.0, 50_000, 0, sharded_wedge_cfg(k), probe,
         );
         assert_eq!(stats, serial_stats, "{k}-shard wedge stats");
@@ -661,7 +728,7 @@ fn sharded_budget_trips_after_the_same_event_as_serial() {
     assert!(serial.exhausted && !serial.deadlocked);
     for k in [2u32, 5] {
         let sharded =
-            run_synthetic_sharded(&net, &policy, &pattern, 0.6, 20_000, 4_000, budgeted(k, 5_000));
+            run_synthetic(&net, &policy, &pattern, 0.6, 20_000, 4_000, budgeted(k, 5_000));
         assert_eq!(sharded, serial, "{k}-shard budget-exhausted synthetic run");
     }
 }
@@ -675,9 +742,9 @@ fn calendar_stats_reset_between_sweep_points() {
     let policy = RoutePolicy::new(&net, Algorithm::Minimal);
     let loads = [0.3, 0.7];
     let base = SimConfig::default();
-    let (outcome, traces) = load_sweep_traced_collect(
+    let (outcome, traces) = par_load_sweep_traced_collect(
         &net, &policy, &SyntheticPattern::Uniform, &loads, 20_000, 4_000, base,
-        TraceConfig::default(),
+        TraceConfig::default(), 1,
     );
     assert_eq!(traces.len(), loads.len());
     for (i, (pt, &load)) in traces.iter().zip(&loads).enumerate() {
@@ -715,7 +782,7 @@ proptest! {
         let serial = run_synthetic(
             &net, &policy, &SyntheticPattern::Uniform, load, 10_000, 2_000, sharded_cfg(1),
         );
-        let sharded = run_synthetic_sharded(
+        let sharded = run_synthetic(
             &net, &policy, &SyntheticPattern::Uniform, load, 10_000, 2_000, sharded_cfg(k),
         );
         prop_assert_eq!(sharded, serial);

@@ -223,7 +223,7 @@ fn probed_sweep_attaches_summaries_and_aborts_after_wedge() {
         ..Default::default()
     };
     let pattern = SyntheticPattern::Permutation(vec![2, 3, 4, 0, 1]);
-    let points = load_sweep_probed(
+    let points = par_load_sweep_probed_collect(
         &net,
         &policy,
         &pattern,
@@ -232,7 +232,9 @@ fn probed_sweep_attaches_summaries_and_aborts_after_wedge() {
         0,
         cfg,
         ProbeConfig::default(),
-    );
+        1,
+    )
+    .points;
     assert_eq!(points.len(), 2);
     let first_wedged = points.iter().position(|p| p.stats.deadlocked).unwrap();
     // The wedged point was simulated (has telemetry); everything after it

@@ -253,7 +253,7 @@ fn tracing_does_not_perturb_stats() {
         WARMUP_NS,
         cfg,
     );
-    let (traced, traces) = load_sweep_traced_collect(
+    let (traced, traces) = par_load_sweep_traced_collect(
         &net,
         &policy,
         &SyntheticPattern::Uniform,
@@ -262,6 +262,7 @@ fn tracing_does_not_perturb_stats() {
         WARMUP_NS,
         cfg,
         TraceConfig::default(),
+        1,
     );
     assert_eq!(
         plain, traced,
@@ -285,7 +286,7 @@ fn serial_and_parallel_traces_are_byte_identical() {
     let (net, policy) = fixture();
     let cfg = SimConfig::default();
     let tc = TraceConfig::default();
-    let (serial_out, serial) = load_sweep_traced_collect(
+    let (serial_out, serial) = par_load_sweep_traced_collect(
         &net,
         &policy,
         &SyntheticPattern::Uniform,
@@ -294,6 +295,7 @@ fn serial_and_parallel_traces_are_byte_identical() {
         WARMUP_NS,
         cfg,
         tc,
+        1,
     );
     for threads in [2, 4] {
         let (par_out, par) = par_load_sweep_traced_collect(
@@ -318,7 +320,7 @@ fn serial_and_parallel_traces_are_byte_identical() {
 #[test]
 fn exported_trace_parses_and_matches_the_event_schema() {
     let (net, policy) = fixture();
-    let (_, traces) = load_sweep_traced_collect(
+    let (_, traces) = par_load_sweep_traced_collect(
         &net,
         &policy,
         &SyntheticPattern::Uniform,
@@ -327,6 +329,7 @@ fn exported_trace_parses_and_matches_the_event_schema() {
         WARMUP_NS,
         SimConfig::default(),
         TraceConfig::default(),
+        1,
     );
     let text = chrome_trace_json("schema check", &[], &traces);
     let doc = Parser::parse(&text).expect("exported trace must be valid JSON");
@@ -376,7 +379,7 @@ fn exported_trace_parses_and_matches_the_event_schema() {
 #[test]
 fn flight_timelines_are_causally_ordered() {
     let (net, policy) = fixture();
-    let (_, traces) = load_sweep_traced_collect(
+    let (_, traces) = par_load_sweep_traced_collect(
         &net,
         &policy,
         &SyntheticPattern::Uniform,
@@ -388,6 +391,7 @@ fn flight_timelines_are_causally_ordered() {
             sample_rate: 16,
             ..TraceConfig::default()
         },
+        1,
     );
     let flights: Vec<_> = traces.iter().flat_map(|p| &p.trace.flights).collect();
     assert!(!flights.is_empty());
@@ -415,7 +419,7 @@ fn flight_timelines_are_causally_ordered() {
 #[test]
 fn phase_only_records_no_flights_but_keeps_counters() {
     let (net, policy) = fixture();
-    let (_, traces) = load_sweep_traced_collect(
+    let (_, traces) = par_load_sweep_traced_collect(
         &net,
         &policy,
         &SyntheticPattern::Uniform,
@@ -427,6 +431,7 @@ fn phase_only_records_no_flights_but_keeps_counters() {
             phase_only: true,
             ..TraceConfig::default()
         },
+        1,
     );
     let t = &traces[0].trace;
     assert!(t.flights.is_empty());
@@ -440,7 +445,7 @@ fn phase_only_records_no_flights_but_keeps_counters() {
 fn manifest_trace_section_roundtrips_through_the_parser() {
     let (net, policy) = fixture();
     let tc = TraceConfig::default();
-    let (out, traces) = load_sweep_traced_collect(
+    let (out, traces) = par_load_sweep_traced_collect(
         &net,
         &policy,
         &SyntheticPattern::Uniform,
@@ -449,6 +454,7 @@ fn manifest_trace_section_roundtrips_through_the_parser() {
         WARMUP_NS,
         SimConfig::default(),
         tc,
+        1,
     );
     let mut m = RunManifest::new(
         "trace roundtrip",
