@@ -4,9 +4,10 @@
 #
 # Usage: ci.sh [--bench-smoke] [--fault-smoke] [--trace-smoke] [--decision-smoke]
 #              [--analysis-smoke] [--shard-smoke] [--serve-smoke] [--obs-smoke]
-#              [--bench-diff]
-#   --bench-smoke     additionally compiles every benchmark and runs a
-#                     smoke-sized bench_sweep, writing BENCH_sweep.json.
+#   --bench-smoke     additionally runs the benchmark's own test suite
+#                     (perfbench/): every workload in smoke mode against
+#                     its reference digest, the record round trip, and
+#                     BENCHMARK.json against the metric table.
 #   --fault-smoke     additionally runs the tiny resilience sweep and
 #                     checks its manifest carries a "faults" section.
 #   --trace-smoke     additionally runs the traced demo sweep (which
@@ -23,8 +24,7 @@
 #                     (d2net-analyze: §4.2 exactness, divergence gate,
 #                     serial == parallel manifest bytes), checks the
 #                     manifests carry "analysis" sections with passing
-#                     verdicts, and runs a smoke-sized bench_analysis
-#                     writing BENCH_analysis.json.
+#                     verdicts.
 #   --shard-smoke     additionally runs the intra-run sharding gate
 #                     (d2net-shard: sharded sweep manifests byte-equal
 #                     the serial engine's, through the serial harness at
@@ -47,11 +47,6 @@
 #                     checks the service gauges, and asserts the event
 #                     log carries the schema header plus the service and
 #                     request lifecycle codes.
-#   --bench-diff      additionally runs the bench-regression gate: two
-#                     real smoke-sized bench_engine runs appended to a
-#                     history file, bench_diff compare produces coded
-#                     verdicts, and a planted regression (--scale) must
-#                     trip the gate with a non-zero exit.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -65,7 +60,6 @@ ANALYSIS_SMOKE=0
 SHARD_SMOKE=0
 SERVE_SMOKE=0
 OBS_SMOKE=0
-BENCH_DIFF=0
 for arg in "$@"; do
   case "$arg" in
     --bench-smoke) BENCH_SMOKE=1 ;;
@@ -76,7 +70,6 @@ for arg in "$@"; do
     --shard-smoke) SHARD_SMOKE=1 ;;
     --serve-smoke) SERVE_SMOKE=1 ;;
     --obs-smoke) OBS_SMOKE=1 ;;
-    --bench-diff) BENCH_DIFF=1 ;;
     *) echo "ci.sh: unknown option '$arg'" >&2; exit 2 ;;
   esac
 done
@@ -103,11 +96,8 @@ echo "== static verification gate (paper-standard configs) =="
 cargo run --release --example d2net-verify -- --paper-gate
 
 if [[ "$BENCH_SMOKE" == "1" ]]; then
-  echo "== bench smoke: compile benches, time a reduced sweep =="
-  cargo bench --no-run --workspace
-  D2NET_BENCH_DURATION_NS=10000 D2NET_BENCH_LOAD_STEPS=4 \
-    cargo run --release -p d2net-bench --bin bench_sweep -- BENCH_sweep.json
-  grep -q '"schema":"d2net.bench-sweep/v1"' BENCH_sweep.json
+  echo "== bench smoke: benchmark test suite, every workload in smoke mode =="
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 if [[ "$FAULT_SMOKE" == "1" ]]; then
@@ -143,17 +133,13 @@ if [[ "$DECISION_SMOKE" == "1" ]]; then
 fi
 
 if [[ "$ANALYSIS_SMOKE" == "1" ]]; then
-  echo "== analysis smoke: analytic oracle gate + static-vs-sim bench =="
+  echo "== analysis smoke: analytic oracle gate =="
   cargo run --release --example d2net-analyze -- --prefix ANALYSIS_smoke_
   for f in ANALYSIS_smoke_SF5.json ANALYSIS_smoke_MLFM4.json ANALYSIS_smoke_OFT4.json; do
     grep -q '"analysis"' "$f"
     grep -q '"predicted_saturation"' "$f"
     grep -q '"passed":true' "$f"
   done
-  D2NET_BENCH_DURATION_NS=10000 D2NET_BENCH_LOAD_STEPS=3 \
-    cargo run --release -p d2net-bench --bin bench_analysis -- BENCH_analysis.json
-  grep -q '"schema":"d2net.bench-analysis/v1"' BENCH_analysis.json
-  grep -q '"gate_passed":true' BENCH_analysis.json
 fi
 
 if [[ "$SHARD_SMOKE" == "1" ]]; then
@@ -269,34 +255,6 @@ EOF
   "$TOP" --events "$OBSD/events.jsonl" --once > /dev/null
   trap - EXIT
   rm -rf "$OBSD"
-fi
-
-if [[ "$BENCH_DIFF" == "1" ]]; then
-  echo "== bench diff: history from two real runs, verdicts, planted regression trips =="
-  cargo build --release -p d2net-bench --bin bench_engine --bin bench_diff
-  BENGINE=target/release/bench_engine
-  BDIFF=target/release/bench_diff
-  DIFFD=$(mktemp -d)
-  trap 'rm -rf "$DIFFD"' EXIT
-  HIST="$DIFFD/bench_history.jsonl"
-  D2NET_BENCH_DURATION_NS=10000 "$BENGINE" "$DIFFD/BENCH_engine_a.json"
-  D2NET_BENCH_DURATION_NS=10000 "$BENGINE" "$DIFFD/BENCH_engine_b.json"
-  "$BDIFF" append "$DIFFD/BENCH_engine_a.json" --history "$HIST" --label base
-  "$BDIFF" append "$DIFFD/BENCH_engine_b.json" --history "$HIST" --label head
-  # Two real smoke runs: verdicts must appear. The wide threshold keeps
-  # CI timing noise from tripping the gate here.
-  "$BDIFF" compare --history "$HIST" --threshold 0.9 | tee "$DIFFD/diff.txt"
-  grep -Eq 'REGRESSION|IMPROVEMENT|NEUTRAL' "$DIFFD/diff.txt"
-  # Plant a regression (documented --scale test hook); the gate must
-  # trip with a non-zero exit and name the regressed groups.
-  "$BDIFF" append "$DIFFD/BENCH_engine_b.json" --history "$HIST" --label planted --scale 0.4
-  if "$BDIFF" compare --history "$HIST" --threshold 0.15 > "$DIFFD/diff_regression.txt"; then
-    echo "ci.sh: planted regression did not trip the bench gate" >&2
-    exit 1
-  fi
-  grep -q 'REGRESSION' "$DIFFD/diff_regression.txt"
-  trap - EXIT
-  rm -rf "$DIFFD"
 fi
 
 echo "ci.sh: all green"

@@ -21,6 +21,12 @@ use d2net_sim::LEDGER_TOP_N;
 
 // ----- minimal JSON reader ------------------------------------------
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a hostile
+/// document (a spooled request, a journal line) overflow the stack and
+/// abort the process; the deepest manifest d2net writes nests 8 levels.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value. Objects preserve key order; numbers collapse to
 /// `f64` (every number a manifest emits is exactly representable).
 #[derive(Debug, Clone, PartialEq)]
@@ -35,11 +41,13 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document (RFC 8259 grammar; rejects
-    /// trailing bytes).
+    /// trailing bytes, and nesting deeper than 64 levels with a
+    /// `JSON_TOO_DEEP` error).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             s: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -85,6 +93,8 @@ impl Json {
 struct Parser<'a> {
     s: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -112,8 +122,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            c @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "JSON_TOO_DEEP: nesting exceeds {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Json::String(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -775,6 +799,17 @@ mod tests {
         assert_eq!(doc.get("e").unwrap().as_str(), Some("x\nA"));
         assert!(Json::parse("{\"a\":1} trailing").is_err());
         assert!(Json::parse("{\"a\":}").is_err());
+        // Nesting is capped at MAX_DEPTH open containers.
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.starts_with("JSON_TOO_DEEP"), "{err}");
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects)
+            .unwrap_err()
+            .starts_with("JSON_TOO_DEEP"));
     }
 
     #[test]

@@ -601,6 +601,27 @@ mod tests {
         assert!(par.notices.is_empty(), "no wedge expected on MLFM uniform");
     }
 
+    /// §2.1.2 trade-off on SF(q=7): p = ⌊r'/2⌋ endpoints per router
+    /// out-saturate p = ⌈r'/2⌉ under minimal routing on uniform traffic.
+    /// About a minute in a debug build, so it runs with the release
+    /// workspace tests rather than the root package's.
+    #[test]
+    fn sf_floor_p_out_saturates_ceil_p_on_uniform() {
+        use d2net_sim::run_synthetic;
+        let floor = slim_fly(7, SlimFlyP::Floor);
+        let ceil = slim_fly(7, SlimFlyP::Ceil);
+        let pf = RoutePolicy::new(&floor, Algorithm::Minimal);
+        let pc = RoutePolicy::new(&ceil, Algorithm::Minimal);
+        let cfg = SimConfig::default();
+        let uniform = SyntheticPattern::Uniform;
+        let tf = run_synthetic(&floor, &pf, &uniform, 1.0, 60_000, 12_000, cfg).throughput;
+        let tc = run_synthetic(&ceil, &pc, &uniform, 1.0, 60_000, 12_000, cfg).throughput;
+        assert!(
+            tf > tc,
+            "floor ({tf}) must out-saturate ceil ({tc}) on uniform traffic"
+        );
+    }
+
     #[test]
     fn best_adaptive_dispatch() {
         let nets = eval_topologies(Scale::Reduced);

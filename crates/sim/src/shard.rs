@@ -60,8 +60,8 @@ use std::sync::mpsc;
 const AUTO_MIN_ROUTERS: u32 = 128;
 
 /// Ceiling on the auto-selected shard count; barrier traffic grows with
-/// the shard count while per-shard work shrinks, and measurements in
-/// `bench_engine` show diminishing returns past this point.
+/// the shard count while per-shard work shrinks, and engine
+/// measurements show diminishing returns past this point.
 const AUTO_MAX_SHARDS: usize = 8;
 
 /// The requested shard count before correctness clamps: an explicit

@@ -57,6 +57,31 @@ fn par_sweep_matches_serial_for_all_families_and_patterns() {
             assert!(serial.notices.is_empty(), "{} {tag}", net.name());
         }
     }
+
+    // The figure drivers fan whole curves across workers; they must
+    // reproduce their serial drivers curve for curve.
+    let assert_curves_equal = |par: &CurveSet, serial: &[Curve], driver: &str| {
+        assert_eq!(par.curves.len(), serial.len(), "{driver}");
+        for (a, b) in par.curves.iter().zip(serial) {
+            assert_eq!(a.label, b.label, "{driver}");
+            assert_eq!(a.points, b.points, "{driver}: curve {} diverged", a.label);
+        }
+    };
+    let nets = families();
+    let params = RunParams {
+        duration_ns: 10_000,
+        warmup_ns: 2_000,
+        loads: vec![0.5, 1.0],
+        sim: cfg,
+    };
+    let serial = fig6(&nets, Traffic::Uniform, &params);
+    let par = fig6_par(&nets, Traffic::Uniform, &params, 3);
+    assert_curves_equal(&par, &serial, "fig6_par");
+    let net = mlfm(4);
+    let variants: Vec<_> = adaptive_variants(9, 'a').into_iter().take(2).collect();
+    let serial = adaptive_sweep(&net, &variants, &params);
+    let par = adaptive_sweep_par(&net, &variants, &params, 3);
+    assert_curves_equal(&par, &serial, "adaptive_sweep_par");
 }
 
 #[test]
@@ -119,11 +144,14 @@ fn exchange_algorithms(net: &Network) -> [Algorithm; 3] {
 }
 
 /// The heap queue is the unsharded reference: the calendar queue must
-/// reproduce it on exchanges run serially and through the shard
-/// coordinator at every explicit shard count.
+/// reproduce it on exchanges run serially, through the shard
+/// coordinator at every explicit shard count, and fanned across
+/// workers by `par_curves` (as the Figs. 13/14 drivers run them).
 #[test]
 fn calendar_queue_matches_heap_on_exchanges() {
     for net in [mlfm(4), slim_fly(5, SlimFlyP::Floor)] {
+        let mut fanned_jobs = Vec::new();
+        let mut reference = Vec::new();
         for (ex, window, tag) in exchanges(&net) {
             for alg in exchange_algorithms(&net) {
                 let policy = RoutePolicy::new(&net, alg);
@@ -146,8 +174,20 @@ fn calendar_queue_matches_heap_on_exchanges() {
                         net.name()
                     );
                 }
+                reference.push(heap);
+                let (net, ex) = (&net, ex.clone());
+                fanned_jobs.push(move || {
+                    let policy = RoutePolicy::new(net, alg);
+                    run_exchange(net, &policy, &ex, window, SimConfig::default())
+                });
             }
         }
+        assert_eq!(
+            par_curves(fanned_jobs, 3),
+            reference,
+            "{}: exchange fan-out diverged from serial",
+            net.name()
+        );
     }
 }
 

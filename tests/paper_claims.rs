@@ -135,6 +135,85 @@ fn fig6_pipeline_reduced() {
     }
 }
 
+/// Fig. 6 on MLFM(h=4): MIN runs near full capacity on uniform traffic
+/// and collapses towards 1/h on the worst case, where INR recovers.
+#[test]
+fn fig6_mlfm_min_collapses_on_worst_case_and_inr_recovers() {
+    let net = mlfm(4);
+    let wc = worst_case(&net);
+    let saturation = |algo: Algorithm, pattern: &SyntheticPattern| {
+        let policy = RoutePolicy::new(&net, algo);
+        let stats = run_synthetic(
+            &net,
+            &policy,
+            pattern,
+            1.0,
+            10_000,
+            2_000,
+            SimConfig::default(),
+        );
+        assert!(!stats.deadlocked, "{algo:?}");
+        stats.throughput
+    };
+    let min_uni = saturation(Algorithm::Minimal, &SyntheticPattern::Uniform);
+    let min_wc = saturation(Algorithm::Minimal, &wc);
+    let inr_wc = saturation(Algorithm::Valiant, &wc);
+    assert!(min_uni > 0.85, "MIN UNI {min_uni}");
+    assert!(min_wc < 0.35, "MIN WC {min_wc}");
+    assert!(inr_wc > min_wc, "INR WC {inr_wc} vs MIN WC {min_wc}");
+}
+
+/// Figs. 7–12 headline on MLFM(h=4): UGAL on the worst case clearly
+/// beats minimal routing on the worst case.
+#[test]
+fn ugal_beats_minimal_on_mlfm_worst_case() {
+    let net = mlfm(4);
+    let wc = worst_case(&net);
+    let ugal = RoutePolicy::new(
+        &net,
+        Algorithm::Ugal {
+            n_i: 5,
+            c: 2.0,
+            threshold: None,
+        },
+    );
+    let minimal = RoutePolicy::new(&net, Algorithm::Minimal);
+    let cfg = SimConfig::default();
+    let u_wc = run_synthetic(&net, &ugal, &wc, 1.0, 30_000, 6_000, cfg).throughput;
+    let m_wc = run_synthetic(&net, &minimal, &wc, 1.0, 30_000, 6_000, cfg).throughput;
+    assert!(u_wc > 1.2 * m_wc, "UGAL WC {u_wc} vs MIN WC {m_wc}");
+}
+
+/// §3.4 ablation: with tight (2 KB) buffers, indirect routing on a
+/// single VC wedges or degrades, while the paper's 2-VC phase scheme
+/// stays live on the same worst-case load.
+#[test]
+fn single_vc_valiant_wedges_or_degrades_against_two_vcs() {
+    let net = mlfm(4);
+    let wc = worst_case(&net);
+    let cfg = SimConfig {
+        buffer_bytes: 2_048,
+        ..Default::default()
+    };
+    let good = RoutePolicy::new(&net, Algorithm::Valiant);
+    let bad = RoutePolicy::with_overrides(
+        &net,
+        Algorithm::Valiant,
+        VcScheme::SingleVc,
+        IntermediateSet::EndpointRouters,
+        false,
+    );
+    let sg = run_synthetic(&net, &good, &wc, 1.0, 100_000, 20_000, cfg);
+    let sb = run_synthetic(&net, &bad, &wc, 1.0, 100_000, 20_000, cfg);
+    assert!(!sg.deadlocked);
+    assert!(
+        sb.deadlocked || sb.throughput < sg.throughput,
+        "single-VC should wedge or degrade: {} vs {}",
+        sb.throughput,
+        sg.throughput
+    );
+}
+
 /// §4.4/Fig. 13: A2A effective throughput — MIN ≈ adaptive ≈ 2× INR.
 #[test]
 fn a2a_shape() {

@@ -2,11 +2,15 @@
 //! chaos-driven fault injection retried to byte-identical results,
 //! supervised/unsupervised manifest identity, budget exhaustion without
 //! aborts, and kill-and-resume reproducing the uninterrupted manifest
-//! byte-for-byte through the journal.
+//! byte-for-byte through the journal. The JSON reader behind spooled
+//! requests, journals and manifests is fed hostile input here too:
+//! absurd nesting and arbitrary truncation are errors, never aborts.
 
+use d2net::journal::replay_file;
 use d2net::prelude::*;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 fn fixture() -> (Network, SyntheticPattern, Vec<f64>, u64, u64) {
     let net = slim_fly(5, SlimFlyP::Floor);
@@ -298,4 +302,72 @@ fn torn_journal_tail_is_skipped_and_resimulated() {
         clean.manifest.to_json()
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A 200,000-deep document is a coded error, not a stack overflow: the
+/// service reads spooled requests and event logs from outside the
+/// process, and an abort there is beyond `catch_unwind`.
+#[test]
+fn deeply_nested_json_is_an_error_not_an_abort() {
+    let deep = "[".repeat(200_000);
+    let err = Json::parse(&deep).unwrap_err();
+    assert!(err.starts_with("JSON_TOO_DEEP"), "{err}");
+    assert!(SupervisedRequest::from_json(&deep).is_err());
+    let nested_field = format!("{{\"id\":\"deep\",\"loads\":{deep}");
+    assert!(SupervisedRequest::from_json(&nested_field).is_err());
+    assert!(parse_event_line(&deep).is_err());
+}
+
+/// A finished supervised run's manifest and journal text: real inputs
+/// for the truncation property below.
+fn parser_fixture() -> &'static (String, String) {
+    static FIXTURE: OnceLock<(String, String)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let dir = std::env::temp_dir().join("d2net_parser_fixture");
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("fixture.journal");
+        let _ = std::fs::remove_file(&journal);
+        let req = SupervisedRequest::from_json(&request_json(3, 5)).unwrap();
+        let run = run_supervised(&req, Some(&journal), None).unwrap();
+        assert!(run.finished);
+        let text = std::fs::read_to_string(&journal).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let manifest = run.manifest.to_json();
+        assert!(
+            manifest.is_ascii() && text.is_ascii(),
+            "byte cuts need ASCII"
+        );
+        (manifest, text)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Cutting a real manifest, or the last line of a real journal, at
+    /// any byte gives an error or a counted skip, never a panic.
+    #[test]
+    fn truncated_manifests_and_journal_lines_never_panic(per_mille in 0usize..1000) {
+        let (manifest, journal) = parser_fixture();
+        let torn = &manifest[..manifest.len() * per_mille / 1000];
+        prop_assert!(Json::parse(torn).is_err());
+        prop_assert!(compare_manifests(torn, manifest).is_err());
+        prop_assert!(SupervisedRequest::from_json(torn).is_err());
+        prop_assert!(parse_event_line(torn).is_err());
+
+        let lines: Vec<&str> = journal.lines().collect();
+        let (last, kept) = lines.split_last().unwrap();
+        let cut = last.len() * per_mille / 1000;
+        let header = Json::parse(kept[0]).unwrap();
+        let run_key = u64::from_str_radix(header.get("run_key").unwrap().as_str().unwrap(), 16)
+            .unwrap();
+        let points = header.get("points").unwrap().as_u64().unwrap() as usize;
+        let path = std::env::temp_dir().join(format!("d2net_torn_line_{per_mille}.journal"));
+        std::fs::write(&path, format!("{}\n{}", kept.join("\n"), &last[..cut])).unwrap();
+        let replay = replay_file(&path, run_key, points);
+        std::fs::remove_file(&path).unwrap();
+        prop_assert!(replay.matched);
+        prop_assert_eq!(replay.replayed(), kept.len() - 1);
+        prop_assert_eq!(replay.lines_skipped, u32::from(cut > 0));
+    }
 }
