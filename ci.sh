@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, test, lint. Fully offline — all dependencies are
-# vendored in vendor/ and wired up via [workspace.dependencies].
+# Tier-1 gate: build (the workspace and the perfbench benchmark), test,
+# lint. Fully offline — all dependencies are vendored in vendor/ and
+# wired up via [workspace.dependencies].
 #
 # Usage: ci.sh [--bench-smoke] [--fault-smoke] [--trace-smoke] [--decision-smoke]
 #              [--analysis-smoke] [--shard-smoke] [--serve-smoke] [--obs-smoke]
@@ -76,6 +77,9 @@ done
 
 echo "== cargo build --release =="
 cargo build --release --workspace --all-targets
+
+echo "== perfbench build (the benchmark compiles against the engine API) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test =="
 cargo test -q --release --workspace

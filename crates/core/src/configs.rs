@@ -15,6 +15,7 @@
 //! per-node normalized (1/2p, 1/h, 1/k, ~0.5 for INR …), so the *shape*
 //! of every curve is scale-invariant.
 
+use d2net_sim::envcfg::env_positive;
 use d2net_sim::SimConfig;
 use d2net_topo::{mlfm, oft, slim_fly, Network, SlimFlyP};
 
@@ -85,24 +86,20 @@ impl RunParams {
     /// Parameters matched to `scale`, honoring the `D2NET_DURATION_NS`
     /// and `D2NET_LOAD_STEPS` environment overrides (useful to trade
     /// statistical smoothness for turnaround when regenerating many
-    /// panels).
+    /// panels). An override that is not a positive integer emits the
+    /// coded `ENV_INVALID` WARN (see [`d2net_sim::envcfg`]) and leaves
+    /// the scale's default in place.
     pub fn for_scale(scale: Scale) -> Self {
         let mut params = match scale {
             Scale::Full => Self::paper(),
             Scale::Reduced => Self::reduced(),
         };
-        if let Some(d) = std::env::var("D2NET_DURATION_NS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
+        if let Some(d) = env_positive("D2NET_DURATION_NS") {
             params.duration_ns = d;
             params.warmup_ns = d / 5;
         }
-        if let Some(s) = std::env::var("D2NET_LOAD_STEPS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            params.loads = d2net_sim::load_grid(s.max(2));
+        if let Some(s) = env_positive("D2NET_LOAD_STEPS") {
+            params.loads = d2net_sim::load_grid((s as usize).max(2));
         }
         params
     }
@@ -148,5 +145,44 @@ mod tests {
         assert_eq!(p.duration_ns, 200_000);
         assert_eq!(p.warmup_ns, 20_000);
         assert_eq!(p.sim.buffer_bytes, 100_000);
+    }
+
+    /// `D2NET_DURATION_NS=0` used to zero the duration and warm-up (so
+    /// every sweep failed `warmup_within`) and garbage was dropped
+    /// silently. The test re-runs itself in a child process with both
+    /// overrides invalid, so the shared test environment stays untouched:
+    /// the child checks the scale defaults hold, the parent checks the
+    /// child warned about each variable.
+    #[test]
+    fn invalid_duration_and_step_overrides_warn_and_keep_defaults() {
+        const GARBAGE_STEPS: &str = "twenty";
+        if std::env::var("D2NET_LOAD_STEPS").as_deref() == Ok(GARBAGE_STEPS) {
+            let (got, want) = (RunParams::for_scale(Scale::Reduced), RunParams::reduced());
+            assert_eq!(got.duration_ns, want.duration_ns);
+            assert_eq!(got.warmup_ns, want.warmup_ns);
+            assert_eq!(got.loads, want.loads);
+            return;
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "configs::tests::invalid_duration_and_step_overrides_warn_and_keep_defaults",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env("D2NET_DURATION_NS", "0")
+            .env("D2NET_LOAD_STEPS", GARBAGE_STEPS)
+            .output()
+            .expect("re-run the test binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "child failed:\n{stdout}\n{stderr}");
+        assert!(stdout.contains("1 passed"), "child ran no test:\n{stdout}");
+        for var in ["D2NET_DURATION_NS='0'", "D2NET_LOAD_STEPS='twenty'"] {
+            assert!(
+                stderr.contains(&format!("WARN ENV_INVALID {var}")),
+                "no coded warning for {var}:\n{stderr}"
+            );
+        }
     }
 }

@@ -7,8 +7,8 @@ use d2net_analysis::{bisection, scale_table, ScaleRow};
 use d2net_routing::{Algorithm, RoutePolicy};
 use d2net_sim::{
     load_sweep, load_sweep_collect, par_curves, par_load_sweep_ledgered_collect,
-    par_load_sweep_traced_collect, run_exchange, ExchangeStats, LedgerConfig, PointLedger,
-    PointTrace, SweepNotice, SweepPoint, TraceConfig,
+    par_load_sweep_traced_collect, plan_shards, pool_workers, run_exchange, ExchangeStats,
+    LedgerConfig, PointLedger, PointTrace, SweepNotice, SweepPoint, TraceConfig,
 };
 use d2net_topo::{mlfm, oft, slim_fly, Network, SlimFlyP, TopologyKind};
 use d2net_traffic::{
@@ -58,12 +58,18 @@ pub struct CurveSet {
 
 /// Fans labelled sweep jobs across `threads` workers and reassembles
 /// them in job order. Each job runs one whole curve; per-point seeds
-/// make the result identical to running the jobs serially.
+/// make the result identical to running the jobs serially. The budget
+/// is divided by the largest shard count any job's runs use.
 fn curves_in_parallel(
     jobs: Vec<(String, RoutePolicy, SyntheticPattern, &Network)>,
     params: &RunParams,
     threads: usize,
 ) -> CurveSet {
+    let shards = jobs
+        .iter()
+        .map(|(_, policy, _, net)| plan_shards(net, policy, &params.sim))
+        .max()
+        .unwrap_or(1);
     let tasks: Vec<_> = jobs
         .into_iter()
         .map(|(label, policy, pattern, net)| {
@@ -89,7 +95,7 @@ fn curves_in_parallel(
         .collect();
     let mut curves = Vec::new();
     let mut notices = Vec::new();
-    for (curve, mut n) in par_curves(tasks, threads) {
+    for (curve, mut n) in par_curves(tasks, pool_workers(threads, shards)) {
         for notice in &mut n {
             notice.message = format!("{}: {}", curve.label, notice.message);
         }

@@ -101,7 +101,7 @@ pub mod prelude {
         backoff_ms, flight_sampled, ledger_metrics, load_grid, load_grid_from, load_sweep,
         load_sweep_collect, par_curves, par_load_sweep_collect, par_load_sweep_ledgered_collect,
         par_load_sweep_probed_collect, par_load_sweep_traced_collect, par_load_sweep_with_order,
-        plan_shards, point_seed, preflight, resolve_threads, run_exchange, run_exchange_probed,
+        plan_shards, point_seed, pool_workers, preflight, resolve_threads, run_exchange, run_exchange_probed,
         run_exchange_traced, run_synthetic, run_synthetic_faulted, run_synthetic_faulted_probed,
         run_synthetic_ledgered, run_synthetic_probed, run_synthetic_sharded,
         run_synthetic_sharded_probed, run_synthetic_sharded_traced, run_synthetic_traced, supervised_load_sweep_collect, supervised_load_sweep_hooked,

@@ -480,37 +480,52 @@ fn handle_conn(conn: &mut TcpStream, source: &dyn StatusSource) {
             Err(_) => break,
         }
     }
-    let head = String::from_utf8_lossy(&buf);
-    let mut parts = head.lines().next().unwrap_or_default().split_whitespace();
-    let method = parts.next().unwrap_or_default();
-    let path = parts.next().unwrap_or_default();
-    let path = path.split('?').next().unwrap_or_default();
-    let (status, content_type, body) = if method != "GET" {
-        ("405 Method Not Allowed", "text/plain", "method not allowed\n".to_string())
-    } else {
-        match path {
-            "/healthz" => ("200 OK", "text/plain", "ok\n".to_string()),
-            "/readyz" => {
-                if source.ready() {
-                    ("200 OK", "text/plain", "ready\n".to_string())
-                } else {
-                    ("503 Service Unavailable", "text/plain", "draining\n".to_string())
-                }
-            }
-            "/metrics" => (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                source.metrics_text(),
-            ),
-            _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
-        }
-    };
+    let (status, content_type, body) = route_request(&buf, source);
     let _ = write!(
         conn,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     let _ = conn.flush();
+}
+
+/// Routes a request head — whatever bytes arrived, possibly truncated,
+/// oversized or not UTF-8 — to the response's status line, content type
+/// and body. Only the request line counts: any method but `GET` is 405,
+/// a query string is ignored, and an unknown path is 404.
+fn route_request(head: &[u8], source: &dyn StatusSource) -> (&'static str, &'static str, String) {
+    let head = String::from_utf8_lossy(head);
+    let mut parts = head.lines().next().unwrap_or_default().split_whitespace();
+    let method = parts.next().unwrap_or_default();
+    let path = parts.next().unwrap_or_default();
+    let path = path.split('?').next().unwrap_or_default();
+    if method != "GET" {
+        return (
+            "405 Method Not Allowed",
+            "text/plain",
+            "method not allowed\n".to_string(),
+        );
+    }
+    match path {
+        "/healthz" => ("200 OK", "text/plain", "ok\n".to_string()),
+        "/readyz" => {
+            if source.ready() {
+                ("200 OK", "text/plain", "ready\n".to_string())
+            } else {
+                (
+                    "503 Service Unavailable",
+                    "text/plain",
+                    "draining\n".to_string(),
+                )
+            }
+        }
+        "/metrics" => (
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            source.metrics_text(),
+        ),
+        _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
+    }
 }
 
 /// A one-shot HTTP GET against a status endpoint: returns the response
@@ -641,5 +656,83 @@ mod tests {
         assert_eq!(http_get(&addr, "/readyz").unwrap(), (503, "draining\n".into()));
         server.shutdown();
         assert!(http_get(&addr, "/healthz").is_err(), "socket must be closed");
+    }
+    const METHODS: [&str; 5] = ["GET", "POST", "HEAD", "get", ""];
+    const PATHS: [&str; 7] = [
+        "/healthz",
+        "/readyz",
+        "/metrics",
+        "/metrics?name=x",
+        "/readyz?",
+        "/",
+        "/nope",
+    ];
+
+    /// The status an intact request line maps to.
+    fn expected_status(method: &str, path: &str, ready: bool) -> &'static str {
+        match (method, path.split('?').next().unwrap()) {
+            ("GET", "/healthz" | "/metrics") => "200 OK",
+            ("GET", "/readyz") if ready => "200 OK",
+            ("GET", "/readyz") => "503 Service Unavailable",
+            ("GET", _) => "404 Not Found",
+            _ => "405 Method Not Allowed",
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Any request head — cut at any byte, padded past the 8 KiB read
+        /// cap, carrying non-UTF-8 header bytes or no header block at all
+        /// — routes without panicking to one of the four statuses, and an
+        /// intact request line routes exactly as before.
+        #[test]
+        fn request_heads_route_to_known_statuses(
+            method in 0usize..METHODS.len(),
+            path in 0usize..PATHS.len(),
+            tail in 0u8..4,
+            per_mille in 0usize..=1000,
+            ready in 0u8..2,
+        ) {
+            let line = format!("{} {} HTTP/1.1\r\n", METHODS[method], PATHS[path]);
+            let mut head = line.clone().into_bytes();
+            match tail {
+                0 => head.extend_from_slice(b"Host: localhost\r\n\r\n"),
+                1 => {
+                    head.extend_from_slice(b"X-Pad: ");
+                    head.resize(head.len() + 9_000, b'a');
+                    head.extend_from_slice(b"\r\n\r\n");
+                }
+                2 => head.extend_from_slice(b"X-Bytes: \xff\xfe\x80\r\n\r\n"),
+                _ => {}
+            }
+            let head = &head[..head.len() * per_mille / 1000];
+            let source = Dummy(AtomicBool::new(ready == 1));
+            let (status, content_type, _) = route_request(head, &source);
+            proptest::prop_assert!(
+                ["200 OK", "404 Not Found", "405 Method Not Allowed", "503 Service Unavailable"]
+                    .contains(&status),
+                "unexpected status {}",
+                status
+            );
+            proptest::prop_assert!(content_type.starts_with("text/plain"));
+            if head.len() >= line.len() {
+                let want = expected_status(METHODS[method], PATHS[path], ready == 1);
+                proptest::prop_assert_eq!(status, want);
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_request_lines_route_without_panicking() {
+        let source = Dummy(AtomicBool::new(true));
+        let route = |head: &[u8]| route_request(head, &source).0;
+        assert_eq!(route(b""), "405 Method Not Allowed");
+        assert_eq!(route(b"\r\n\r\n"), "405 Method Not Allowed");
+        assert_eq!(route(b"GET"), "404 Not Found");
+        assert_eq!(route(b"\xffGET /healthz HTTP/1.1\r\n"), "405 Method Not Allowed");
+        assert_eq!(route(b"GET /health\xffz HTTP/1.1\r\n"), "404 Not Found");
+        assert_eq!(route(b"GET /healthz?\xff HTTP/1.1\r\n"), "200 OK");
+        assert_eq!(route(b"GET  /metrics"), "200 OK");
     }
 }

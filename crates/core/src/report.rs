@@ -470,15 +470,6 @@ impl JsonWriter {
         self
     }
 
-    /// Splices a pre-serialized JSON value verbatim — the embedding hook
-    /// for composite documents that wrap a full [`RunManifest::to_json`].
-    /// The caller vouches that `json` is a complete, valid JSON value.
-    pub fn raw(&mut self, json: &str) -> &mut Self {
-        self.comma();
-        self.out.push_str(json);
-        self
-    }
-
     pub fn finish(self) -> String {
         self.out
     }
@@ -1502,15 +1493,5 @@ mod tests {
         // The section nests cleanly between "decisions" and "curves".
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         assert_eq!(s.matches('[').count(), s.matches(']').count());
-    }
-
-    #[test]
-    fn raw_splices_verbatim_json() {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("inner").raw("{\"a\":[1,2]}");
-        w.key("after").u64(3);
-        w.end_object();
-        assert_eq!(w.finish(), "{\"inner\":{\"a\":[1,2]},\"after\":3}");
     }
 }

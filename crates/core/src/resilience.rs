@@ -19,8 +19,8 @@ use crate::report::{FaultPointRecord, FaultsManifest};
 use d2net_routing::{Algorithm, RoutePolicy};
 use d2net_sim::sweep::SweepNotice;
 use d2net_sim::{
-    par_curves, point_seed, run_synthetic, run_synthetic_traced, EngineTrace, PointTrace,
-    Preflight, SimConfig, SweepPoint, SyntheticStats, TraceConfig,
+    par_curves, plan_shards, point_seed, pool_workers, run_synthetic, run_synthetic_traced,
+    EngineTrace, PointTrace, Preflight, SimConfig, SweepPoint, SyntheticStats, TraceConfig,
 };
 use d2net_topo::{FaultSet, Network};
 use d2net_traffic::SyntheticPattern;
@@ -274,7 +274,11 @@ pub fn resilience_sweep_traced_par(
             }
         })
         .collect();
-    let results = par_curves(jobs, threads);
+    // Every point's run is sharded like the pristine network's would be
+    // (faults remove links, never routers, and repair keeps the
+    // algorithm), so that shard count divides the thread budget.
+    let shards = plan_shards(net, &RoutePolicy::new(net, algorithm), &cfg);
+    let results = par_curves(jobs, pool_workers(threads, shards));
     let mut points = Vec::with_capacity(results.len());
     let mut notices = Vec::new();
     let mut traces = Vec::new();

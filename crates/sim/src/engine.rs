@@ -24,16 +24,17 @@
 //! [`Engine::reset`] between sweep points reuses every allocation.
 
 use crate::config::{ChaosKind, EngineChaos, EventQueueKind, Preflight, SimConfig};
-use crate::equeue::{CalendarQueue, CalendarStats, EventQ};
+use crate::equeue::{CalendarQueue, EventQ};
 use crate::fault::FaultSchedule;
 use crate::injector::{NextPacket, NodeSource, PacketSpec};
-use crate::ledger::{DecisionLedger, EngineLedger, LedgerConfig};
-use crate::shard::{run_sharded_inner, Observers};
+use crate::ledger::{EngineLedger, LedgerConfig};
+use crate::observer::{ObserverSlot, Observers, RunEnd, RunOutput};
+use crate::shard::run_sharded_inner;
 use crate::stats::{Accumulator, ExchangeStats, SyntheticStats};
 use crate::telemetry::{
     DeadlockReport, ProbeConfig, Telemetry, TelemetryReport, WaitPoint, WaitSide,
 };
-use crate::trace::{EngineTrace, PacketFlight, TraceConfig, TraceRecorder};
+use crate::trace::{EngineTrace, PacketFlight, TraceConfig};
 use d2net_routing::{
     vc_for_phase, OccupancyView, RouteChoice, RoutePath, RoutePolicy, VcScheme, MAX_PATH_ROUTERS,
 };
@@ -506,27 +507,13 @@ pub struct Engine<'a> {
     node_rngs: Vec<SmallRng>,
     /// Per-node injection ordinal (the low word of `Packet::flight_id`).
     node_seq: Vec<u32>,
-    /// Calendar statistics absorbed from sibling shards, merged into
-    /// the finalized trace next to this engine's own queue stats.
-    extra_calendar: Option<CalendarStats>,
-    /// Optional observability probe (see [`crate::telemetry`]). `None`
-    /// costs the event loop a single branch per event and leaves the
-    /// simulated schedule byte-identical to an unprobed run.
-    telemetry: Option<Telemetry>,
-    /// Optional structured trace recorder (see [`crate::trace`]); same
-    /// zero-overhead contract as the probe — one branch per hook site
-    /// when `None`, and recorded state never feeds the simulation.
-    trace: Option<TraceRecorder>,
-    /// Finalized trace of the last run, parked here by the run methods
-    /// (which only borrow the engine) for [`Engine::take_trace`].
+    /// The attached probe, trace recorder and decision ledger (see
+    /// [`crate::observer`]). Empty, each hook costs a predictable branch
+    /// and the simulated schedule is byte-identical to an unobserved run.
+    observer: ObserverSlot,
+    /// Finalized trace of the last [`Engine::run_synthetic_to`], parked
+    /// for [`Engine::take_trace`] (that method only borrows the engine).
     finished_trace: Option<EngineTrace>,
-    /// Optional routing-decision ledger (see [`crate::ledger`]); same
-    /// zero-overhead contract as the probe and tracer — one branch at
-    /// the injection decision when `None`, recorded state never feeds
-    /// the simulation, and the recorded entry point is rng-neutral.
-    ledger: Option<DecisionLedger>,
-    /// Finalized ledger of the last run, for [`Engine::take_ledger`].
-    finished_ledger: Option<EngineLedger>,
 
     // ----- fault machinery (all inert when `fault_events` is empty) --
     /// Mid-run fault schedule, sorted by time; re-armed by `reset`.
@@ -748,12 +735,8 @@ impl<'a> Engine<'a> {
             count_fault_events,
             node_rngs,
             node_seq: vec![0; n],
-            extra_calendar: None,
-            telemetry: None,
-            trace: None,
+            observer: ObserverSlot::default(),
             finished_trace: None,
-            ledger: None,
-            finished_ledger: None,
             fault_events,
             cur_policy: policy,
             dead: vec![false; total],
@@ -843,14 +826,10 @@ impl<'a> Engine<'a> {
         self.cur_lane = 0;
         self.cur_key = 0;
         self.events_scheduled = 0;
-        self.extra_calendar = None;
         self.acc = Accumulator::default();
         self.warmup_ps = warmup_ps;
-        self.telemetry = None;
-        self.trace = None;
+        self.observer = ObserverSlot::default();
         self.finished_trace = None;
-        self.ledger = None;
-        self.finished_ledger = None;
         self.cur_policy = self.policy;
         self.dead.fill(false);
         self.retry.fill(None);
@@ -873,79 +852,41 @@ impl<'a> Engine<'a> {
         preflight(self.net, self.policy, &self.cfg)
     }
 
-    /// Attaches an observability probe; must be called before the run
-    /// starts. See [`crate::telemetry`] for what gets recorded.
-    pub fn attach_probe(&mut self, probe: ProbeConfig) {
-        let total = *self.ports.base.last().unwrap();
-        let port_is_node = (0..total)
-            .map(|p| self.ports.is_node_port(self.net, p))
-            .collect();
-        self.telemetry = Some(Telemetry::new(
-            probe,
-            self.net.num_routers(),
-            self.net.num_nodes(),
-            self.num_vcs,
-            self.ports.owner.clone(),
-            port_is_node,
-            self.vc_cap,
-            self.cfg.ps_per_byte(),
-        ));
-    }
-
-    /// Flushes probe sample windows up to simulated time `t`.
-    fn flush_probe(&mut self, t: u64) {
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.sample_to(t, &self.in_occ, &self.out_occ);
-        }
+    /// Attaches `observers` in place of any attached before; must be
+    /// called before the run starts.
+    pub(crate) fn observe(&mut self, observers: Observers) {
+        let probe = |cfg| {
+            let total = *self.ports.base.last().expect("port bases end with the port count");
+            let port_is_node = (0..total)
+                .map(|p| self.ports.is_node_port(self.net, p))
+                .collect();
+            Telemetry::new(
+                cfg,
+                self.net.num_routers(),
+                self.net.num_nodes(),
+                self.num_vcs,
+                self.ports.owner.clone(),
+                port_is_node,
+                self.vc_cap,
+                self.cfg.ps_per_byte(),
+            )
+        };
+        self.observer = ObserverSlot::attach(observers, probe);
     }
 
     /// Attaches a structured trace recorder; must be called before the
     /// run starts. See [`crate::trace`] for what gets recorded.
     pub fn attach_trace(&mut self, cfg: TraceConfig) {
-        self.trace = Some(TraceRecorder::new(cfg));
+        self.observe(Observers {
+            trace: Some(cfg),
+            ..Observers::default()
+        });
     }
 
-    /// The finalized trace of the last run, when one was attached. The
-    /// run methods finalize it; calling this again returns `None`.
+    /// The finalized trace of the last [`Engine::run_synthetic_to`],
+    /// when a recorder was attached; calling this again returns `None`.
     pub fn take_trace(&mut self) -> Option<EngineTrace> {
         self.finished_trace.take()
-    }
-
-    /// Detaches the recorder into [`Engine::take_trace`]'s slot, closing
-    /// the phase spans with the run's statistics horizon.
-    fn finalize_trace(&mut self, measure_end_ps: u64) {
-        if let Some(tr) = self.trace.take() {
-            let cal = match (self.queue.calendar_stats(), self.extra_calendar.take()) {
-                (Some(own), Some(extra)) => Some(own.merged(&extra)),
-                (own, extra) => own.or(extra),
-            };
-            self.finished_trace = Some(tr.finish(
-                self.warmup_ps,
-                measure_end_ps,
-                self.now,
-                self.events_scheduled,
-                cal,
-            ));
-        }
-    }
-
-    /// Attaches a routing-decision ledger; must be called before the run
-    /// starts. See [`crate::ledger`] for what gets recorded.
-    pub fn attach_ledger(&mut self, cfg: LedgerConfig) {
-        self.ledger = Some(DecisionLedger::new(cfg));
-    }
-
-    /// The finalized ledger of the last run, when one was attached. The
-    /// run methods finalize it; calling this again returns `None`.
-    pub fn take_ledger(&mut self) -> Option<EngineLedger> {
-        self.finished_ledger.take()
-    }
-
-    /// Detaches the ledger into [`Engine::take_ledger`]'s slot.
-    fn finalize_ledger(&mut self) {
-        if let Some(led) = self.ledger.take() {
-            self.finished_ledger = Some(led.finish());
-        }
     }
 
     /// Whether this engine owns router `r`'s state.
@@ -1140,19 +1081,16 @@ impl<'a> Engine<'a> {
             link_vc: 0,
             scheme: self.cur_policy.vc_scheme(),
         });
-        if let Some(tr) = self.trace.as_mut() {
-            tr.on_alloc(
-                pkt,
-                flight_id,
-                (self.now, self.cur_key),
-                self.now,
-                self.net.node_router(node),
-                node,
-                spec.dst,
-                spec.bytes,
-                spec.birth_ps,
-            );
-        }
+        self.observer.on_alloc(
+            pkt,
+            flight_id,
+            (self.now, self.cur_key),
+            self.net.node_router(node),
+            node,
+            spec.dst,
+            spec.bytes,
+            spec.birth_ps,
+        );
         let done = self.now + self.cfg.ser_ps(spec.bytes);
         self.node_busy[node as usize] = done;
         self.schedule(done, Ev::NodeSendDone(node));
@@ -1191,22 +1129,14 @@ impl<'a> Engine<'a> {
                 // Route sampling draws from the source node's stream —
                 // the node's injections route through a deterministic
                 // draw sequence regardless of global interleaving.
-                let decided = if self.ledger.is_some() {
-                    match self.cur_policy.try_choose_recorded(
-                        src_r,
-                        dst_r,
-                        &view,
-                        &mut self.node_rngs[src as usize],
-                    ) {
-                        Some((c, rec)) => {
+                let decided = if self.observer.records_decisions() {
+                    self.cur_policy
+                        .try_choose_recorded(src_r, dst_r, &view, &mut self.node_rngs[src as usize])
+                        .map(|(c, rec)| {
                             let fid = self.packets[pkt as usize].flight_id;
-                            if let Some(led) = self.ledger.as_mut() {
-                                led.on_decision(self.now, self.cur_key, fid, &rec);
-                            }
-                            Some(c)
-                        }
-                        None => None,
-                    }
+                            self.observer.on_decision(self.now, self.cur_key, fid, &rec);
+                            c
+                        })
                 } else {
                     self.cur_policy.try_choose(
                         src_r,
@@ -1223,9 +1153,7 @@ impl<'a> Engine<'a> {
                         // router's door, returning the node-buffer space
                         // it held like an ordinary ejection credit.
                         self.dropped_flight += 1;
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.on_drop(pkt, self.now, src_r);
-                        }
+                        self.observer.on_drop(pkt, self.now, src_r);
                         self.schedule(self.now, Ev::NodeCredit { node: src, bytes });
                         self.free.push(pkt);
                         return;
@@ -1235,12 +1163,8 @@ impl<'a> Engine<'a> {
             self.packets[pkt as usize].route =
                 Route::pack(&choice).unwrap_or_else(|e| panic!("{e}"));
             self.packets[pkt as usize].scheme = self.cur_policy.vc_scheme();
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.on_inject(self.now, src_r, src, dst, bytes, choice.indirect);
-            }
-            if let Some(tr) = self.trace.as_mut() {
-                tr.on_route(pkt, choice.indirect);
-            }
+            self.observer
+                .on_route(self.now, pkt, src_r, src, dst, bytes, choice.indirect);
             (src_r, self.ports.node_port(self.net, src_r, src), 0u8)
         } else {
             let route = &self.packets[pkt as usize].route;
@@ -1248,10 +1172,7 @@ impl<'a> Engine<'a> {
             let prev = route.router(hop as usize - 1);
             (r, self.ports.network_port(self.net, r, prev), link_vc)
         };
-        if let Some(tr) = self.trace.as_mut() {
-            tr.counters.in_q_pushes += 1;
-            tr.on_arrive_router(pkt, self.now, r, hop);
-        }
+        self.observer.on_arrive_router(pkt, self.now, r, hop);
         let pv = self.pv(in_port, in_vc);
         self.in_occ[pv] += bytes as u64;
         let ready = self.now + self.cfg.switch_ps();
@@ -1298,9 +1219,7 @@ impl<'a> Engine<'a> {
             // (drain-or-drop, DESIGN.md §10).
             self.release_input_head(pv, bytes);
             self.dropped_flight += 1;
-            if let Some(tr) = self.trace.as_mut() {
-                tr.on_drop(pkt, self.now, r);
-            }
+            self.observer.on_drop(pkt, self.now, r);
             self.free.push(pkt);
             if let Some(nx) = self.in_q.front(pv) {
                 let t = self.packets[nx as usize].ready_ps.max(self.now);
@@ -1314,14 +1233,9 @@ impl<'a> Engine<'a> {
                 self.blocked_flag[pv] = true;
                 self.blocked
                     .push_back(out_port as usize, pv as u32, &mut self.blocked_next);
-                if let Some(tel) = self.telemetry.as_mut() {
-                    let in_vc = (pv as u32 % self.num_vcs) as u8;
-                    tel.on_blocked(self.now, in_port, in_vc, out_port, out_vc);
-                }
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.counters.blocked_entries += 1;
-                    tr.on_blocked(pkt, self.now, r, out_port, out_vc);
-                }
+                let in_vc = (pv as u32 % self.num_vcs) as u8;
+                self.observer
+                    .on_blocked(self.now, pkt, r, in_port, in_vc, out_port, out_vc);
             }
             return;
         }
@@ -1329,10 +1243,8 @@ impl<'a> Engine<'a> {
         self.release_input_head(pv, bytes);
         self.out_occ[out_pv] += bytes as u64;
         self.packets[pkt as usize].link_vc = out_vc;
-        if let Some(tr) = self.trace.as_mut() {
-            tr.counters.out_q_pushes += 1;
-            tr.on_switch_alloc(pkt, self.now, r, out_port, out_vc);
-        }
+        self.observer
+            .on_switch_alloc(pkt, self.now, r, out_port, out_vc);
         self.out_q.push_back(out_pv, pkt, &mut self.pkt_next);
         self.kick_output(out_port);
         // Wake the next packet waiting on this input FIFO.
@@ -1418,10 +1330,7 @@ impl<'a> Engine<'a> {
                     let bytes = self.packets[pkt as usize].bytes;
                     self.out_occ[pv] -= bytes as u64;
                     self.dropped_flight += 1;
-                    if let Some(tr) = self.trace.as_mut() {
-                        let r = self.ports.owner[port as usize];
-                        tr.on_drop(pkt, self.now, r);
-                    }
+                    self.observer.on_drop(pkt, self.now, owner);
                     self.free.push(pkt);
                     flushed += 1;
                 }
@@ -1432,11 +1341,8 @@ impl<'a> Engine<'a> {
                 self.blocked_flag[bpv as usize] = false;
                 self.schedule(self.now, Ev::TrySwitch(bpv));
             }
-            let router = self.ports.owner[port as usize];
             let peer = self.ports.owner[self.ports.peer[port as usize] as usize];
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.on_link_down(self.now, router, peer, flushed);
-            }
+            self.observer.on_link_down(self.now, owner, peer, flushed);
         }
         self.cur_policy = self.fault_events[i].policy;
         self.next_fault = self.next_fault.max(i + 1);
@@ -1472,12 +1378,7 @@ impl<'a> Engine<'a> {
             }
             self.rr[out_port as usize] = ((vc as u32 + 1) % self.num_vcs) as u8;
             self.sending[out_port as usize] = (bytes, out_pv as u32);
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.on_send(self.now, out_port, bytes);
-            }
-            if let Some(tr) = self.trace.as_mut() {
-                tr.on_serialize(pkt, self.now, out_port);
-            }
+            self.observer.on_send(self.now, pkt, out_port, bytes);
             if self.now >= self.warmup_ps {
                 self.sent_bytes[out_port as usize] += bytes as u64;
             }
@@ -1502,11 +1403,7 @@ impl<'a> Engine<'a> {
                     let key = self.next_key();
                     let mut p = self.packets[pkt as usize];
                     p.hop += 1;
-                    let flight = self
-                        .trace
-                        .as_mut()
-                        .and_then(|tr| tr.extract_flight(pkt))
-                        .map(Box::new);
+                    let flight = self.observer.extract_flight(pkt);
                     self.free.push(pkt);
                     self.outbox.push((arrive, key, OutEv::Arrive(p, flight)));
                 }
@@ -1535,13 +1432,10 @@ impl<'a> Engine<'a> {
             "packet delivered to a router its destination node is not attached to"
         );
         self.delivered += 1;
-        if let Some(tel) = self.telemetry.as_mut() {
-            let r = self.net.node_router(p.dst);
-            tel.on_eject(self.now, r, p.dst, p.src(), p.bytes, self.now - p.birth_ps);
-        }
-        if let Some(tr) = self.trace.as_mut() {
-            tr.on_eject(pkt, self.now, self.net.node_router(p.dst));
-        }
+        let r = self.net.node_router(p.dst);
+        let delay = self.now - p.birth_ps;
+        self.observer
+            .on_eject(self.now, pkt, r, p.dst, p.src(), p.bytes, delay);
         if self.now >= self.warmup_ps {
             self.acc.record(
                 self.now - p.birth_ps,
@@ -1614,20 +1508,16 @@ impl<'a> Engine<'a> {
     #[inline]
     fn step(&mut self, t: u64, key: u64, ev: Ev) {
         self.now = t;
-        if self.telemetry.is_some() {
-            self.flush_probe(t);
-        }
-        if let Some(tr) = self.trace.as_mut() {
-            tr.counters.events_popped += 1;
-        }
+        self.observer.on_pop(t, &self.in_occ, &self.out_occ);
         self.cur_key = key;
         self.cur_lane = self.lane_of(&ev);
         self.handle(ev);
     }
 
     /// Runs until the event horizon `end_ps` (events beyond it are left
-    /// unprocessed) or the queue drains. Returns `true` if the run wedged
-    /// with packets still in flight — a deadlock.
+    /// unprocessed), a budget trips, or the queue drains. Returns `true`
+    /// when the queue drained: with packets still in flight, the run
+    /// wedged (see [`finish_run`]).
     fn run(&mut self, end_ps: Option<u64>) -> bool {
         // Budget/chaos bookkeeping is hoisted behind one branch so the
         // default (unlimited, chaos-free) hot loop is unchanged.
@@ -1665,11 +1555,7 @@ impl<'a> Engine<'a> {
             }
             self.step(t, key, ev);
         }
-        let wedged = self.created > self.delivered + self.dropped_flight;
-        if wedged && std::env::var_os("D2NET_DEBUG_WEDGE").is_some() {
-            self.dump_wedge();
-        }
-        wedged
+        true
     }
 
     /// Whether the run's event budget is spent; sets
@@ -1797,11 +1683,6 @@ impl<'a> Engine<'a> {
         self.popped
     }
 
-    /// Simulated time of the last event this engine handled.
-    pub(crate) fn now(&self) -> u64 {
-        self.now
-    }
-
     /// Marks the run exhausted: the coordinator's event-budget trip.
     pub(crate) fn mark_exhausted(&mut self) {
         self.exhausted = true;
@@ -1814,17 +1695,7 @@ impl<'a> Engine<'a> {
         match ev {
             OutEv::Arrive(p, flight) => {
                 let id = self.alloc_slot(p);
-                if let Some(tr) = self.trace.as_mut() {
-                    match flight {
-                        Some(m) => {
-                            let (k, f) = *m;
-                            tr.implant_flight(id, k, f)
-                        }
-                        // Unsampled migrant: still reset the slab slot's
-                        // mapping so id recycling can't splice timelines.
-                        None => tr.clear_slot(id),
-                    }
-                }
+                self.observer.implant_flight(id, flight);
                 self.queue.push((t, key, Ev::ArriveRouter(id)));
             }
             OutEv::Credit { pv, bytes } => {
@@ -1842,15 +1713,12 @@ impl<'a> Engine<'a> {
         let t = self.fault_events[i].t_ps;
         debug_invariant!(self.now <= t, "fault applied in this shard's past");
         self.now = t;
-        if self.telemetry.is_some() {
-            self.flush_probe(t);
-        }
         if self.count_fault_events {
             // The pop serial counts for its `Ev::LinkFail`.
             self.popped += 1;
-            if let Some(tr) = self.trace.as_mut() {
-                tr.counters.events_popped += 1;
-            }
+            self.observer.on_pop(t, &self.in_occ, &self.out_occ);
+        } else {
+            self.observer.flush(t, &self.in_occ, &self.out_occ);
         }
         self.link_fail(i);
     }
@@ -1859,12 +1727,6 @@ impl<'a> Engine<'a> {
     /// `now = end` when events remain beyond it.
     pub(crate) fn force_now(&mut self, t: u64) {
         self.now = self.now.max(t);
-    }
-
-    /// This shard's contribution to the global wedge check:
-    /// `(created, delivered + dropped_flight)`.
-    pub(crate) fn wedge_counts(&self) -> (u64, u64) {
-        (self.created, self.delivered + self.dropped_flight)
     }
 
     /// Folds a sibling shard's run products into this engine so the
@@ -1885,158 +1747,7 @@ impl<'a> Engine<'a> {
         for (a, b) in self.sent_bytes.iter_mut().zip(&other.sent_bytes) {
             *a += *b;
         }
-        if let Some(cs) = other.queue.calendar_stats() {
-            let merged = match self.extra_calendar.take() {
-                Some(acc) => acc.merged(&cs),
-                None => cs,
-            };
-            self.extra_calendar = Some(merged);
-        }
-        if let (Some(t), Some(o)) = (self.telemetry.as_mut(), other.telemetry.take()) {
-            t.absorb(o);
-        }
-        if let (Some(t), Some(o)) = (self.trace.as_mut(), other.trace.take()) {
-            t.absorb(o);
-        }
-        if let (Some(l), Some(o)) = (self.ledger.as_mut(), other.ledger.take()) {
-            l.absorb(o);
-        }
-    }
-
-    /// Diagnostic dump of stuck state (enabled via D2NET_DEBUG_WEDGE).
-    fn dump_wedge(&self) {
-        eprintln!(
-            "WEDGE at t={} ps: created={} delivered={} dropped={}",
-            self.now, self.created, self.delivered, self.dropped_flight
-        );
-        let pv_total = self.in_occ.len();
-        let mut in_total = 0usize;
-        let mut printed = 0;
-        for pv in 0..pv_total {
-            let len = self.in_q.len(pv);
-            if len > 0 {
-                in_total += len;
-                let port = pv as u32 / self.num_vcs;
-                let owner = self.ports.owner[port as usize];
-                let is_injection = port - self.ports.base[owner as usize] >= self.net.degree(owner);
-                if !is_injection && printed < 40 {
-                    printed += 1;
-                    let vc = pv as u32 % self.num_vcs;
-                    let head = &self.packets[self.in_q.front(pv).unwrap() as usize];
-                    eprintln!(
-                        "  in_q port={} (router {}, idx {}) vc={} len={} head: hop={} path={:?} ready={} blocked_flag={}",
-                        port,
-                        self.ports.owner[port as usize],
-                        port - self.ports.base[self.ports.owner[port as usize] as usize],
-                        vc,
-                        len,
-                        head.hop,
-                        head.route.routers(),
-                        head.ready_ps,
-                        self.blocked_flag[pv],
-                    );
-                }
-            }
-        }
-        let mut out_total = 0usize;
-        for pv in 0..pv_total {
-            let len = self.out_q.len(pv);
-            if len > 0 {
-                out_total += len;
-                if out_total < 4000 {
-                    let port = pv as u32 / self.num_vcs;
-                    eprintln!(
-                        "  out_q port={} (router {}) vc={} len={} credits={} busy_until={} occ={}",
-                        port,
-                        self.ports.owner[port as usize],
-                        pv as u32 % self.num_vcs,
-                        len,
-                        self.credits[pv],
-                        self.busy_until[port as usize],
-                        self.out_occ[pv],
-                    );
-                }
-            }
-        }
-        eprintln!("  totals: in_q={in_total} out_q={out_total}");
-    }
-
-    /// Reconstructs the wait-for cycle of a wedged run. Call only after
-    /// [`Engine::run`] returned wedged: the frozen buffer state is walked
-    /// as a functional graph — each blocked input FIFO waits on exactly
-    /// one full output buffer, and each credit-starved output buffer
-    /// waits on exactly one downstream input buffer — so the first
-    /// revisited node closes the cycle.
-    fn deadlock_forensics(&self) -> Option<DeadlockReport> {
-        let pv_total = self.in_occ.len();
-        const NONE: u32 = u32::MAX;
-        // Node ids: In(pv) = pv, Out(pv) = pv_total + pv.
-        let mut succ = vec![NONE; 2 * pv_total];
-        for pv in 0..pv_total {
-            if let Some(pkt) = self.in_q.front(pv) {
-                let p = &self.packets[pkt as usize];
-                let in_port = pv as u32 / self.num_vcs;
-                let r = self.ports.owner[in_port as usize];
-                let hop = p.hop as usize;
-                let (out_port, out_vc) = if hop == p.route.len() - 1 {
-                    (self.ports.node_port(self.net, r, p.dst), 0u8)
-                } else {
-                    let next = p.route.router(hop + 1);
-                    (
-                        self.ports.network_port(self.net, r, next),
-                        p.route.vc(p.scheme, hop),
-                    )
-                };
-                let out_pv = self.pv(out_port, out_vc);
-                if self.out_occ[out_pv] + p.bytes as u64 > self.vc_cap {
-                    succ[pv] = (pv_total + out_pv) as u32;
-                }
-            }
-            if let Some(pkt) = self.out_q.front(pv) {
-                let port = pv as u32 / self.num_vcs;
-                if !self.ports.is_node_port(self.net, port) {
-                    let bytes = self.packets[pkt as usize].bytes as u64;
-                    if self.credits[pv] < bytes {
-                        let down_port = self.ports.peer[port as usize];
-                        let vc = pv as u32 % self.num_vcs;
-                        succ[pv_total + pv] = down_port * self.num_vcs + vc;
-                    }
-                }
-            }
-        }
-        let mut state = vec![0u8; 2 * pv_total]; // 0 new, 1 on path, 2 done
-        for start in 0..2 * pv_total {
-            if state[start] != 0 {
-                continue;
-            }
-            let mut path = Vec::new();
-            let mut cur = start;
-            loop {
-                if state[cur] == 1 {
-                    let pos = path.iter().position(|&x| x == cur).unwrap();
-                    let cycle = path[pos..]
-                        .iter()
-                        .map(|&id| self.wait_point(id, pv_total))
-                        .collect();
-                    return Some(DeadlockReport {
-                        cycle,
-                        stranded_packets: self.created - self.delivered - self.dropped_flight,
-                        t_ps: self.now,
-                    });
-                }
-                if state[cur] == 2 || succ[cur] == NONE {
-                    state[cur] = 2;
-                    for &x in &path {
-                        state[x] = 2;
-                    }
-                    break;
-                }
-                state[cur] = 1;
-                path.push(cur);
-                cur = succ[cur] as usize;
-            }
-        }
-        None
+        self.observer.absorb(std::mem::take(&mut other.observer));
     }
 
     /// Snapshots one wait-for-graph node for the forensics report.
@@ -2071,79 +1782,55 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Detaches the probe (if any) into its report, running deadlock
-    /// forensics on the frozen state when the run wedged.
-    fn take_probe_report(&mut self, wedged: bool) -> Option<TelemetryReport> {
-        let forensics = if wedged {
-            // A wedged run with no wait-for cycle is a partition (or
-            // otherwise unreachable traffic), not a credit deadlock:
-            // synthesize a cycle-less report so the two render
-            // distinctly (see DeadlockReport::is_partition).
-            self.deadlock_forensics().or(Some(DeadlockReport {
-                cycle: Vec::new(),
-                stranded_packets: self.created - self.delivered - self.dropped_flight,
-                t_ps: self.now,
-            }))
-        } else {
-            None
-        };
-        self.take_probe_report_with(forensics)
-    }
-
-    /// [`Engine::take_probe_report`] with the forensics already computed
-    /// — the sharded runner walks the wait-for graph across every shard
-    /// before absorbing them into one engine.
-    pub(crate) fn take_probe_report_with(
-        &mut self,
-        forensics: Option<DeadlockReport>,
-    ) -> Option<TelemetryReport> {
-        self.telemetry.take().map(|tel| {
-            let mut report = tel.into_report(forensics);
-            // The probe never sees drops or retries directly (they have
-            // no hook of their own); fold the engine counters in so the
-            // summary and manifest surface them.
-            report.total_dropped_packets = self.dropped_flight + self.dropped_injection;
-            report.total_retried_packets = self.retried;
-            report
-        })
-    }
-
     /// Runs one synthetic workload to `end_ps` **without consuming the
     /// engine**: afterwards [`Engine::reset`] rewinds it for the next
-    /// point of a sweep, reusing every allocation.
+    /// point of a sweep, reusing every allocation. An attached trace is
+    /// parked for [`Engine::take_trace`].
     pub fn run_synthetic_to(
         &mut self,
         load: f64,
         end_ps: u64,
     ) -> (SyntheticStats, Option<TelemetryReport>) {
-        let deadlocked = self.run(Some(end_ps));
-        if self.telemetry.is_some() {
-            self.flush_probe(end_ps);
-        }
-        let telemetry = self.take_probe_report(deadlocked);
-        let stats = self.synthetic_stats(load, end_ps, deadlocked);
-        (stats, telemetry)
+        let out = self.run_serial(Some(end_ps), |e, wedged| {
+            e.synthetic_stats(load, end_ps, wedged)
+        });
+        self.finished_trace = out.trace;
+        (out.stats, out.telemetry)
     }
 
-    /// Builds the run's [`SyntheticStats`] from the accumulated state and
-    /// finalizes the attached trace/ledger — the tail shared by the
-    /// serial and sharded runners (which differ only in how the run and
-    /// the probe report happen).
-    pub(crate) fn synthetic_stats(
+    /// Consumes the engine after an exchange run, returning its stats,
+    /// the telemetry report when a probe was attached and the structured
+    /// trace when a recorder was attached. The measure phase spans the
+    /// injection period (up to the last packet committed into the
+    /// network); the drain phase covers the deliveries, credits and wake
+    /// events that settle afterwards.
+    pub fn finish_exchange_traced(
+        mut self,
+        total_bytes: u64,
+    ) -> (ExchangeStats, Option<TelemetryReport>, Option<EngineTrace>) {
+        let out = self.run_serial(None, |e, wedged| e.exchange_stats(total_bytes, wedged));
+        (out.stats, out.telemetry, out.trace)
+    }
+
+    /// Runs the serial event loop to `horizon_ps` (an exchange has none
+    /// and runs until its queue drains), then closes the run through
+    /// [`finish_run`] as a one-shard run.
+    pub(crate) fn run_serial<S>(
         &mut self,
+        horizon_ps: Option<u64>,
+        stats: impl FnOnce(&Engine, bool) -> S,
+    ) -> RunOutput<S> {
+        let drained = self.run(horizon_ps);
+        finish_run(std::slice::from_mut(self), horizon_ps, drained, stats)
+    }
+
+    /// The run's [`SyntheticStats`] from the accumulated state.
+    pub(crate) fn synthetic_stats(
+        &self,
         load: f64,
         end_ps: u64,
         deadlocked: bool,
     ) -> SyntheticStats {
-        self.finalize_trace(end_ps);
-        self.finalize_ledger();
-        // Observer-only: record this run's engine-event count for the
-        // progress layer (serial and sharded runs both finalize here,
-        // on the thread that drove the run — after an `absorb_shard`
-        // merge the count already spans every shard).
-        if crate::obs::enabled() {
-            crate::obs::note_run_events(self.events_scheduled);
-        }
         let window = (end_ps - self.warmup_ps) as f64;
         let n = self.net.num_nodes() as f64;
         let throughput =
@@ -2174,52 +1861,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Flushes the probe's sample windows to the run horizon — the
-    /// sharded runner's per-shard equivalent of the flush
-    /// [`Engine::run_synthetic_to`] performs after the event loop.
-    pub(crate) fn flush_probe_to(&mut self, t: u64) {
-        if self.telemetry.is_some() {
-            self.flush_probe(t);
-        }
-    }
-
-    /// Consumes the engine after an exchange run, returning its stats,
-    /// the telemetry report when a probe was attached and the structured
-    /// trace when a recorder was attached. The measure phase spans the
-    /// injection period (up to the last packet committed into the
-    /// network); the drain phase covers the deliveries, credits and wake
-    /// events that settle afterwards.
-    pub fn finish_exchange_traced(
-        mut self,
-        total_bytes: u64,
-    ) -> (ExchangeStats, Option<TelemetryReport>, Option<EngineTrace>) {
-        let deadlocked = self.run(None);
-        if self.telemetry.is_some() {
-            self.flush_probe(self.now);
-        }
-        let telemetry = self.take_probe_report(deadlocked);
-        let (stats, trace) = self.exchange_stats(total_bytes, deadlocked);
-        (stats, telemetry, trace)
-    }
-
-    /// Builds the run's [`ExchangeStats`] from the accumulated state and
-    /// finalizes the attached trace/ledger — the tail shared by the
-    /// serial and sharded exchange runners, as [`Engine::synthetic_stats`]
-    /// is for synthetic runs.
-    pub(crate) fn exchange_stats(
-        &mut self,
-        total_bytes: u64,
-        deadlocked: bool,
-    ) -> (ExchangeStats, Option<EngineTrace>) {
-        let measure_end = self
-            .trace
-            .as_ref()
-            .map_or(self.acc.last_delivery_ps, |tr| {
-                tr.last_alloc_ps.min(self.acc.last_delivery_ps)
-            });
-        self.finalize_trace(measure_end);
-        self.finalize_ledger();
-        let trace = self.take_trace();
+    /// The run's [`ExchangeStats`] from the accumulated state.
+    pub(crate) fn exchange_stats(&self, total_bytes: u64, deadlocked: bool) -> ExchangeStats {
         let completion_ps = self.acc.last_delivery_ps;
         let n = self.net.num_nodes() as f64;
         let effective = if completion_ps > 0 {
@@ -2232,7 +1875,7 @@ impl<'a> Engine<'a> {
             deadlocked || self.exhausted || self.acc.delivered_bytes == total_bytes,
             "exchange completed without delivering every byte"
         );
-        let stats = ExchangeStats {
+        ExchangeStats {
             delivered_bytes: self.acc.delivered_bytes,
             completion_ns: completion_ps / 1_000,
             effective_throughput: effective,
@@ -2241,31 +1884,82 @@ impl<'a> Engine<'a> {
             delivered_packets: self.acc.delivered_packets,
             indirect_packets: self.acc.indirect_packets,
             deadlocked: deadlocked || self.acc.delivered_bytes < total_bytes,
-        };
-        (stats, trace)
+        }
     }
 }
 
-/// [`Engine::deadlock_forensics`] across the shards of a wedged sharded
-/// run: the wait-for graph spans shard boundaries (an output starved of
-/// credits waits on a downstream input buffer that may live on another
-/// shard), so each global `pv`'s frozen state is read from the shard
-/// owning its router. Shards hold full-length arrays with only owned
-/// slots populated, so the per-shard reads compose into exactly the walk
-/// the serial engine would have done.
-pub(crate) fn deadlock_forensics_sharded(shards: &[&Engine]) -> Option<DeadlockReport> {
-    let e0 = shards[0];
+/// The one run tail, shared by every run — serial (one engine) or
+/// sharded, synthetic or exchange, a single run or a sweep point. A run
+/// whose queues `drained` with packets still in flight wedged. The tail
+/// flushes each engine's probe to the horizon (an exchange's: the last
+/// event anywhere), walks the wedge forensics across the engines' frozen
+/// state, absorbs `shards[1..]` into `shards[0]`, and finalizes the
+/// observers around the stats `stats` builds from the absorbed engine
+/// and the wedge verdict.
+pub(crate) fn finish_run<S>(
+    shards: &mut [Engine],
+    horizon_ps: Option<u64>,
+    drained: bool,
+    stats: impl FnOnce(&Engine, bool) -> S,
+) -> RunOutput<S> {
+    let wedged = drained && stranded_packets(shards) > 0;
+    let flush_to = horizon_ps.unwrap_or_else(|| shards.iter().map(|e| e.now).max().unwrap_or(0));
+    for e in shards.iter_mut() {
+        e.observer.flush(flush_to, &e.in_occ, &e.out_occ);
+    }
+    let forensics =
+        (wedged && shards[0].observer.probing()).then(|| deadlock_forensics_sharded(shards));
+    // Each shard's calendar queue keeps its own statistics; the trace
+    // gets their sum.
+    let calendar = shards
+        .iter()
+        .filter_map(|e| e.queue.calendar_stats())
+        .reduce(|a, b| a.merged(&b));
+    let (first, rest) = shards
+        .split_first_mut()
+        .expect("a run has at least one engine");
+    for other in rest {
+        first.absorb_shard(other);
+    }
+    let stats = stats(first, wedged);
+    let end = RunEnd {
+        horizon_ps,
+        warmup_ps: first.warmup_ps,
+        last_delivery_ps: first.acc.last_delivery_ps,
+        final_ps: first.now,
+        events_scheduled: first.events_scheduled,
+        calendar,
+        dropped_packets: first.dropped_flight + first.dropped_injection,
+        retried_packets: first.retried,
+    };
+    std::mem::take(&mut first.observer).finish(stats, forensics, end)
+}
+
+/// Reconstructs the wait-for cycle of a wedged run from the frozen
+/// buffer state of its engines (one for a serial run, which owns every
+/// router). The state is walked as a functional graph — each blocked
+/// input FIFO waits on exactly one full output buffer, and each
+/// credit-starved output buffer waits on exactly one downstream input
+/// buffer — so the first revisited node closes the cycle. The graph
+/// spans shard boundaries, so each global `pv`'s state is read from the
+/// engine owning its router; shards hold full-length arrays with only
+/// owned slots populated, so the reads compose into exactly the serial
+/// walk. A wedge with no wait-for cycle is a partition (or otherwise
+/// unreachable traffic), not a credit deadlock: it gets a cycle-less
+/// report, rendered distinctly (see [`DeadlockReport::is_partition`]).
+fn deadlock_forensics_sharded(shards: &[Engine]) -> DeadlockReport {
+    let e0 = &shards[0];
     let pv_total = e0.in_occ.len();
     let shard_of = |pv: usize| -> &Engine {
         let port = pv as u32 / e0.num_vcs;
         let r = e0.ports.owner[port as usize];
         shards
             .iter()
-            .copied()
             .find(|s| s.owns(r))
             .expect("every router is owned by exactly one shard")
     };
     const NONE: u32 = u32::MAX;
+    // Node ids: In(pv) = pv, Out(pv) = pv_total + pv.
     let mut succ = vec![NONE; 2 * pv_total];
     for pv in 0..pv_total {
         let e = shard_of(pv);
@@ -2300,12 +1994,9 @@ pub(crate) fn deadlock_forensics_sharded(shards: &[&Engine]) -> Option<DeadlockR
             }
         }
     }
-    let stranded: u64 = shards
-        .iter()
-        .map(|s| s.created - s.delivered - s.dropped_flight)
-        .sum();
-    let t_ps = shards.iter().map(|s| s.now).max().unwrap();
-    let mut state = vec![0u8; 2 * pv_total];
+    let stranded_packets = stranded_packets(shards);
+    let t_ps = shards.iter().map(|s| s.now).max().expect("at least one engine");
+    let mut state = vec![0u8; 2 * pv_total]; // 0 new, 1 on path, 2 done
     for start in 0..2 * pv_total {
         if state[start] != 0 {
             continue;
@@ -2314,7 +2005,10 @@ pub(crate) fn deadlock_forensics_sharded(shards: &[&Engine]) -> Option<DeadlockR
         let mut cur = start;
         loop {
             if state[cur] == 1 {
-                let pos = path.iter().position(|&x| x == cur).unwrap();
+                let pos = path
+                    .iter()
+                    .position(|&x| x == cur)
+                    .expect("a node on the path was revisited");
                 let cycle = path[pos..]
                     .iter()
                     .map(|&id| {
@@ -2322,11 +2016,11 @@ pub(crate) fn deadlock_forensics_sharded(shards: &[&Engine]) -> Option<DeadlockR
                         shard_of(pv).wait_point(id, pv_total)
                     })
                     .collect();
-                return Some(DeadlockReport {
+                return DeadlockReport {
                     cycle,
-                    stranded_packets: stranded,
+                    stranded_packets,
                     t_ps,
-                });
+                };
             }
             if state[cur] == 2 || succ[cur] == NONE {
                 state[cur] = 2;
@@ -2340,22 +2034,20 @@ pub(crate) fn deadlock_forensics_sharded(shards: &[&Engine]) -> Option<DeadlockR
             cur = succ[cur] as usize;
         }
     }
-    None
-}
-
-/// Cycle-less [`DeadlockReport`] for a wedged sharded run whose wait-for
-/// walk found no cycle — a partition, rendered distinctly (see
-/// [`DeadlockReport::is_partition`]); mirrors the serial fallback in
-/// [`Engine::take_probe_report`].
-pub(crate) fn partition_report_sharded(shards: &[&Engine]) -> DeadlockReport {
     DeadlockReport {
         cycle: Vec::new(),
-        stranded_packets: shards
-            .iter()
-            .map(|s| s.created - s.delivered - s.dropped_flight)
-            .sum(),
-        t_ps: shards.iter().map(|s| s.now).max().unwrap(),
+        stranded_packets,
+        t_ps,
     }
+}
+
+/// Packets created but neither delivered nor dropped in flight, over
+/// every shard. Summed before subtracting: a packet created on one shard
+/// may be delivered on another.
+fn stranded_packets(shards: &[Engine]) -> u64 {
+    let created: u64 = shards.iter().map(|s| s.created).sum();
+    let done: u64 = shards.iter().map(|s| s.delivered + s.dropped_flight).sum();
+    created - done
 }
 
 /// Per-node RNG streams for one run, derived from a single draw of the
@@ -2648,7 +2340,7 @@ pub fn run_exchange(
     window: usize,
     cfg: SimConfig,
 ) -> ExchangeStats {
-    crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, Observers::default()).0
+    crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, Observers::default()).stats
 }
 
 /// [`run_exchange`] with an observability probe attached; the report is
@@ -2665,9 +2357,8 @@ pub fn run_exchange_probed(
         probe: Some(probe),
         ..Observers::default()
     };
-    let (stats, tel, _) =
-        crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, observers);
-    (stats, tel.expect("probe was attached"))
+    let out = crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, observers);
+    (out.stats, out.telemetry.expect("probe was attached"))
 }
 
 /// [`run_exchange`] with a structured trace recorder attached. Exchanges
@@ -2687,7 +2378,6 @@ pub fn run_exchange_traced(
         trace: Some(trace),
         ..Observers::default()
     };
-    let (stats, _, tr) =
-        crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, observers);
-    (stats, tr.expect("trace was attached"))
+    let out = crate::shard::run_exchange_inner(net, policy, exchange, window, cfg, observers);
+    (out.stats, out.trace.expect("trace was attached"))
 }

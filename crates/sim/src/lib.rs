@@ -31,6 +31,14 @@
 //!   [`supervise`]). Serial, parallel and supervised sweeps all run
 //!   through the one driver there, which composes shard- with
 //!   point-level parallelism under one thread budget.
+//!
+//! Inside, an [`Engine`] has one observer slot holding the optional
+//! probe, trace recorder and decision ledger: each hook site in the
+//! event loop is one call on it. Every run — serial or sharded,
+//! synthetic or exchange, a single run or a sweep point — ends in one
+//! run tail that flushes the probe, walks the wedge forensics (a serial
+//! engine is the one-shard case), merges the shards and finalizes the
+//! observers around the run's stats.
 
 pub mod config;
 pub mod engine;
@@ -40,6 +48,7 @@ pub mod fault;
 pub mod injector;
 pub mod ledger;
 pub mod obs;
+mod observer;
 pub mod par;
 pub mod shard;
 pub mod stats;
@@ -63,7 +72,7 @@ pub use ledger::{
 pub use par::{
     par_curves, par_load_sweep_collect, par_load_sweep_ledgered_collect,
     par_load_sweep_probed_collect, par_load_sweep_traced_collect, par_load_sweep_with_order,
-    resolve_threads,
+    pool_workers, resolve_threads,
 };
 pub use shard::plan_shards;
 /// Alias of [`run_synthetic`], kept only for perfbench; goes away in the

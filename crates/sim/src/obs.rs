@@ -13,7 +13,8 @@
 //! **Observer-only invariant.** Nothing in this module may influence a
 //! simulation result. Events and counters are written *about* runs,
 //! never read *by* them; every emitter sits outside the deterministic
-//! core (after `synthetic_stats`, at notice assembly, in retry loops).
+//! core (after a run's output is formed, at notice assembly, in retry
+//! loops).
 //! All determinism gates — serial ≡ parallel ≡ sharded ≡ supervised
 //! manifest bytes — hold with observability on or off, which
 //! `tests/obs.rs` pins. Event *order* across worker threads is not
@@ -637,29 +638,6 @@ pub fn notice(n: &SweepNotice) {
     );
 }
 
-// ---------------------------------------------------------------------
-// Per-run engine event counts
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// Engine events of the run that most recently finalized on this
-    /// thread — written by `Engine::synthetic_stats`, consumed by the
-    /// point runner that drove the run (serial and sharded runs both
-    /// finalize on the driving thread).
-    static RUN_EVENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Records the engine-event count of the run finalizing on this thread.
-pub fn note_run_events(n: u64) {
-    RUN_EVENTS.with(|c| c.set(n));
-}
-
-/// Takes (and clears) the last recorded engine-event count, so a
-/// panicked or skipped run never inherits its predecessor's count.
-pub fn take_run_events() -> u64 {
-    RUN_EVENTS.with(|c| c.replace(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,13 +749,5 @@ mod tests {
         assert_eq!(s.retry_attempts, 1);
         assert_eq!(s.points_accounted(), 6, "buckets partition the grid");
         assert!(s.point_wall_us >= 2_500);
-    }
-
-    #[test]
-    fn run_events_note_is_take_once() {
-        let _g = guard();
-        note_run_events(42);
-        assert_eq!(take_run_events(), 42);
-        assert_eq!(take_run_events(), 0, "second take sees a cleared cell");
     }
 }

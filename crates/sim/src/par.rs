@@ -30,7 +30,7 @@
 
 use crate::config::SimConfig;
 use crate::ledger::{LedgerConfig, PointLedger};
-use crate::shard::Observers;
+use crate::observer::Observers;
 use crate::supervise::{SuperviseConfig, SuperviseHooks, Swept};
 use crate::sweep::SweepOutcome;
 use crate::telemetry::ProbeConfig;
@@ -55,6 +55,14 @@ pub fn resolve_threads(threads: usize) -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Workers for a pool whose every run occupies `shards` threads of its
+/// own (see [`crate::plan_shards`]): the resolved budget `threads`
+/// (`0` = auto) divided between run- and shard-level parallelism instead
+/// of oversubscribing the machine, and never less than one.
+pub fn pool_workers(threads: usize, shards: usize) -> usize {
+    (resolve_threads(threads) / shards.max(1)).max(1)
 }
 
 /// Runs `jobs` on a scoped pool of `threads` workers (`0` = auto) and
@@ -276,5 +284,15 @@ mod tests {
     fn resolve_threads_prefers_explicit_request() {
         assert_eq!(resolve_threads(7), 7);
         assert!(resolve_threads(0) >= 1);
+    }
+
+    #[test]
+    fn pool_workers_divide_the_budget_by_the_shard_count() {
+        assert_eq!(pool_workers(8, 1), 8);
+        assert_eq!(pool_workers(8, 4), 2);
+        assert_eq!(pool_workers(8, 3), 2, "rounds down");
+        assert_eq!(pool_workers(2, 8), 1, "never below one worker");
+        assert_eq!(pool_workers(6, 0), 6, "a zero shard count reads as serial");
+        assert_eq!(pool_workers(0, 1), resolve_threads(0));
     }
 }

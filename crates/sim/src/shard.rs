@@ -29,23 +29,22 @@
 //! same window boundaries, so a budget trips after the same event at
 //! every shard count.
 //!
-//! Every observable output — [`SyntheticStats`], [`ExchangeStats`],
-//! telemetry reports, traces, ledgers, and the manifests derived from
-//! them — is byte-identical to the serial engine's for every shard
-//! count. The window protocol, the mailbox merge-ordering proof sketch,
-//! and the shard-layout decisions are documented in DESIGN.md §14.
+//! Every observable output — [`SyntheticStats`](crate::SyntheticStats),
+//! [`ExchangeStats`], telemetry reports, traces, ledgers, and the
+//! manifests derived from them — is byte-identical to the serial
+//! engine's for every shard count. The window protocol, the mailbox
+//! merge-ordering proof sketch, and the shard-layout decisions are
+//! documented in DESIGN.md §14.
 
 use crate::config::{EventQueueKind, SimConfig};
 use crate::engine::{
-    deadlock_forensics_sharded, engine_faults, partition_report_sharded, resolve_fault_policies,
-    synthetic_sources, try_preflight_once, Engine, OutEv,
+    engine_faults, finish_run, resolve_fault_policies, synthetic_sources, try_preflight_once,
+    Engine, OutEv,
 };
 use crate::fault::FaultSchedule;
 use crate::injector::NodeSource;
-use crate::ledger::{EngineLedger, LedgerConfig};
-use crate::stats::{ExchangeStats, SyntheticStats};
-use crate::telemetry::{DeadlockReport, ProbeConfig, TelemetryReport};
-use crate::trace::{EngineTrace, TraceConfig};
+use crate::observer::{Observers, RunOutput};
+use crate::stats::ExchangeStats;
 use d2net_routing::{Algorithm, RoutePolicy};
 use d2net_topo::{Network, RouterId};
 use d2net_verify::invariant;
@@ -189,11 +188,9 @@ enum Cmd {
     /// queued, so they are delivered rather than dropped: a migrant
     /// flight's record travels inside its `OutEv::Arrive` and would
     /// otherwise vanish from the merged trace. `force_now` is the
-    /// horizon when the run stopped at it (serial sets its clock there);
-    /// `flush_to` is where the probe's sample windows end.
+    /// horizon when the run stopped at it (serial sets its clock there).
     Finish {
         force_now: Option<u64>,
-        flush_to: u64,
         inbox: Vec<Mail>,
     },
 }
@@ -208,8 +205,6 @@ struct Reply {
     /// Events the shard has popped under a budget guard, for the
     /// coordinator's event budget.
     popped: u64,
-    /// The shard's clock.
-    now: u64,
     /// The shard's wall-clock budget (or a chaos stall) tripped inside
     /// the window: the coordinator stops opening windows and finalizes
     /// the partial run as exhausted.
@@ -231,18 +226,13 @@ fn shard_worker<'a>(
                 eng.run_window(until);
             }
             Cmd::Fault(i) => eng.apply_fault(i),
-            Cmd::Finish {
-                force_now,
-                flush_to,
-                inbox,
-            } => {
+            Cmd::Finish { force_now, inbox } => {
                 for (t, key, ev) in inbox {
                     eng.deliver(t, key, ev);
                 }
                 if let Some(t) = force_now {
                     eng.force_now(t);
                 }
-                eng.flush_probe_to(flush_to);
                 return eng;
             }
         }
@@ -250,7 +240,6 @@ fn shard_worker<'a>(
             outbox: eng.route_outbox(bounds.len(), |r| owner_shard(bounds, r)),
             min_peek: eng.min_peek(),
             popped: eng.popped(),
-            now: eng.now(),
             exhausted: eng.budget_exhausted(),
         };
         if tx.send(reply).is_err() {
@@ -264,16 +253,13 @@ fn shard_worker<'a>(
 struct Barrier {
     min_peeks: Vec<Option<u64>>,
     popped: Vec<u64>,
-    /// Latest clock over every shard: the time of the last event handled
-    /// anywhere.
-    now: u64,
     /// Mailbox items waiting for the next window, per destination shard.
     inboxes: Vec<Vec<Mail>>,
 }
 
 impl Barrier {
     /// Waits for every shard's reply, in shard order, refreshing its
-    /// queue minimum, pop count and clock and appending its mailboxes to
+    /// queue minimum and pop count and appending its mailboxes to
     /// the destination inboxes. Returns whether a shard's budget tripped
     /// inside the window.
     fn collect(&mut self, rxs: &[mpsc::Receiver<Reply>]) -> bool {
@@ -282,7 +268,6 @@ impl Barrier {
             let r = rx.recv().expect("shard worker alive");
             self.min_peeks[i] = r.min_peek;
             self.popped[i] = r.popped;
-            self.now = self.now.max(r.now);
             exhausted |= r.exhausted;
             for (inbox, mut mail) in self.inboxes.iter_mut().zip(r.outbox) {
                 inbox.append(&mut mail);
@@ -302,25 +287,22 @@ impl Barrier {
     }
 }
 
-/// A sharded run's result before finalization: the engine every shard
-/// was absorbed into, whether the run wedged, and the wedge forensics.
-type Absorbed<'a> = (Engine<'a>, bool, Option<DeadlockReport>);
-
 /// The conservative-window coordinator shared by synthetic runs and
 /// exchanges. Builds one engine per shard with `build(lo, hi, cfg,
 /// first)` (`first` marks shard 0, which carries the fault-event
 /// accounting), then runs the shards in lock-step windows until the
 /// horizon `end_ps` — an exchange has none — every queue and mailbox
-/// drains, or a budget trips. Every shard is then absorbed into the
-/// first engine for the ordinary finalization path.
-fn run_windows<'a>(
+/// drains, or a budget trips. The shards then close through the one run
+/// tail, [`finish_run`], as a serial engine does.
+fn run_windows<'a, S>(
     net: &Network,
     cfg: SimConfig,
     k: usize,
     end_ps: Option<u64>,
     fault_times: &[u64],
     mut build: impl FnMut(u32, u32, SimConfig, bool) -> Result<Engine<'a>, String>,
-) -> Result<Absorbed<'a>, String> {
+    stats: impl FnOnce(&Engine, bool) -> S,
+) -> Result<RunOutput<S>, String> {
     let bounds = shard_bounds(net.num_routers(), k);
     let mut engines: Vec<Engine> = Vec::with_capacity(k);
     for (i, &(lo, hi)) in bounds.iter().enumerate() {
@@ -340,7 +322,6 @@ fn run_windows<'a>(
     let mut barrier = Barrier {
         min_peeks: engines.iter_mut().map(|e| e.min_peek()).collect(),
         popped: vec![0; k],
-        now: 0,
         inboxes: (0..k).map(|_| Vec::new()).collect(),
     };
     let mut at_horizon = false;
@@ -414,11 +395,9 @@ fn run_windows<'a>(
             }
         }
         let force_now = end_ps.filter(|_| at_horizon);
-        let flush_to = end_ps.unwrap_or(barrier.now);
         for (tx, inbox) in cmd_txs.iter().zip(barrier.inboxes.iter_mut()) {
             tx.send(Cmd::Finish {
                 force_now,
-                flush_to,
                 inbox: std::mem::take(inbox),
             })
             .expect("shard worker alive");
@@ -430,80 +409,10 @@ fn run_windows<'a>(
             .collect()
     });
 
-    // Wedge check over global counters, mirroring the serial loop's
-    // drained-queue test.
-    let (created, done) = engines.iter().fold((0u64, 0u64), |(c, d), e| {
-        let (ec, ed) = e.wedge_counts();
-        (c + ec, d + ed)
-    });
-    let wedged = drained && created > done;
-    let forensics = if wedged {
-        let refs: Vec<&Engine> = engines.iter().collect();
-        Some(
-            deadlock_forensics_sharded(&refs)
-                .unwrap_or_else(|| partition_report_sharded(&refs)),
-        )
-    } else {
-        None
-    };
-
-    let (first, rest) = engines.split_first_mut().expect("k >= 2 shards");
-    for other in rest.iter_mut() {
-        first.absorb_shard(other);
-    }
     if budget_tripped {
-        first.mark_exhausted();
+        engines[0].mark_exhausted();
     }
-    Ok((engines.swap_remove(0), wedged, forensics))
-}
-
-/// The observers a run attaches to every engine it builds — the one
-/// value threaded through single runs, exchanges, sweep points and the
-/// sweep driver.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct Observers {
-    pub(crate) probe: Option<ProbeConfig>,
-    pub(crate) trace: Option<TraceConfig>,
-    pub(crate) ledger: Option<LedgerConfig>,
-}
-
-impl Observers {
-    pub(crate) fn attach(self, eng: &mut Engine) {
-        if let Some(p) = self.probe {
-            eng.attach_probe(p);
-        }
-        if let Some(t) = self.trace {
-            eng.attach_trace(t);
-        }
-        if let Some(l) = self.ledger {
-            eng.attach_ledger(l);
-        }
-    }
-}
-
-/// What one synthetic run hands back: its stats plus the output of each
-/// attached observer.
-#[derive(Debug)]
-pub(crate) struct RunOutput {
-    pub(crate) stats: SyntheticStats,
-    pub(crate) telemetry: Option<TelemetryReport>,
-    pub(crate) trace: Option<EngineTrace>,
-    pub(crate) ledger: Option<EngineLedger>,
-}
-
-impl RunOutput {
-    /// Runs `eng` to the horizon on the serial event loop and collects
-    /// its stats and observer outputs — the `k = 1` path, shared with
-    /// the sweeps' reusable point engine.
-    pub(crate) fn serial(eng: &mut Engine, load: f64, end_ps: u64) -> Self {
-        let (stats, telemetry) = eng.run_synthetic_to(load, end_ps);
-        RunOutput {
-            stats,
-            telemetry,
-            trace: eng.take_trace(),
-            ledger: eng.take_ledger(),
-        }
-    }
+    Ok(finish_run(&mut engines, end_ps, drained, stats))
 }
 
 /// The one synthetic-run path behind every `run_synthetic*` entry point
@@ -541,13 +450,13 @@ pub(crate) fn run_sharded_inner(
         let sources = synthetic_sources(net, pattern, load, end_ps, &cfg, &mut rng);
         let mut eng =
             Engine::build_shard(net, policy, cfg, sources, warmup_ps, rng, faults, lo, hi, first)?;
-        observers.attach(&mut eng);
+        eng.observe(observers);
         Ok(eng)
     };
+    let stats = |e: &Engine, wedged| e.synthetic_stats(load, end_ps, wedged);
 
     if k <= 1 {
-        let mut eng = build(0, net.num_routers(), cfg, true)?;
-        return Ok(RunOutput::serial(&mut eng, load, end_ps));
+        return Ok(build(0, net.num_routers(), cfg, true)?.run_serial(Some(end_ps), stats));
     }
     // The static preflight pass is shard-independent; run it once here
     // rather than once per shard build.
@@ -555,16 +464,7 @@ pub(crate) fn run_sharded_inner(
     let fault_times: Vec<u64> = schedule
         .map(|s| s.events().iter().map(|e| e.t_ns * 1_000).collect())
         .unwrap_or_default();
-    let (mut eng, wedged, forensics) =
-        run_windows(net, cfg, k, Some(end_ps), &fault_times, build)?;
-    let telemetry = eng.take_probe_report_with(forensics);
-    let stats = eng.synthetic_stats(load, end_ps, wedged);
-    Ok(RunOutput {
-        stats,
-        telemetry,
-        trace: eng.take_trace(),
-        ledger: eng.take_ledger(),
-    })
+    run_windows(net, cfg, k, Some(end_ps), &fault_times, build, stats)
 }
 
 /// The shared exchange core behind [`crate::run_exchange`] and its
@@ -578,7 +478,7 @@ pub(crate) fn run_exchange_inner(
     window: usize,
     cfg: SimConfig,
     observers: Observers,
-) -> (ExchangeStats, Option<TelemetryReport>, Option<EngineTrace>) {
+) -> RunOutput<ExchangeStats> {
     invariant!(
         exchange.sends.len() == net.num_nodes() as usize,
         "exchange pattern must cover every node ({} send lists, {} nodes)",
@@ -600,21 +500,17 @@ pub(crate) fn run_exchange_inner(
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let mut eng =
             Engine::build_shard(net, policy, cfg, sources, 0, rng, Vec::new(), lo, hi, first)?;
-        observers.attach(&mut eng);
+        eng.observe(observers);
         Ok(eng)
     };
+    let stats = |e: &Engine, wedged| e.exchange_stats(total_bytes, wedged);
 
     let k = effective_shards(net, policy, &cfg, false);
     let run = if k <= 1 {
-        build(0, net.num_routers(), cfg, true).map(|eng| eng.finish_exchange_traced(total_bytes))
+        build(0, net.num_routers(), cfg, true).map(|mut eng| eng.run_serial(None, stats))
     } else {
         try_preflight_once(net, policy, cfg)
-            .and_then(|cfg| run_windows(net, cfg, k, None, &[], build))
-            .map(|(mut eng, wedged, forensics)| {
-                let telemetry = eng.take_probe_report_with(forensics);
-                let (stats, trace) = eng.exchange_stats(total_bytes, wedged);
-                (stats, telemetry, trace)
-            })
+            .and_then(|cfg| run_windows(net, cfg, k, None, &[], build, stats))
     };
     run.unwrap_or_else(|e| panic!("{e}"))
 }

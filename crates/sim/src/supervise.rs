@@ -32,7 +32,7 @@
 
 use crate::config::{ChaosKind, EngineChaos, SimConfig};
 use crate::ledger::{EngineLedger, PointLedger};
-use crate::shard::{Observers, RunOutput};
+use crate::observer::{Observers, RunOutput};
 use crate::stats::SyntheticStats;
 use crate::sweep::{point_seed, PointRunner, SweepNotice, SweepOutcome, SweepPoint};
 use crate::trace::{EngineTrace, PointTrace};
@@ -375,9 +375,7 @@ pub(crate) fn sweep(
     // its own (see `crate::shard`); divide the one budget between
     // point- and shard-level parallelism instead of oversubscribing.
     let shards = crate::shard::plan_shards(net, policy, &cfg);
-    let threads = (crate::par::resolve_threads(sup.threads) / shards)
-        .max(1)
-        .min(n.max(1));
+    let threads = crate::par::pool_workers(sup.threads, shards).min(n.max(1));
     let point = || {
         let mut runner = PointRunner::try_new(net, policy, pattern, cfg, duration_ns, warmup_ns)
             .expect("validated before spawning workers");
@@ -696,6 +694,7 @@ mod tests {
             telemetry: None,
             trace: None,
             ledger: None,
+            events: 0,
         })
     }
 

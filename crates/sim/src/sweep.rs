@@ -10,7 +10,7 @@
 
 use crate::config::{EngineChaos, SimConfig};
 use crate::engine::{synthetic_sources, Engine};
-use crate::shard::{Observers, RunOutput};
+use crate::observer::{Observers, RunOutput};
 use crate::stats::SyntheticStats;
 use crate::telemetry::TelemetrySummary;
 use d2net_routing::RoutePolicy;
@@ -340,8 +340,10 @@ impl<'a> PointRunner<'a> {
             )),
         };
         engine.set_chaos(self.chaos.or(self.cfg.chaos));
-        observers.attach(engine);
-        RunOutput::serial(engine, load, end_ps)
+        engine.observe(observers);
+        engine.run_serial(Some(end_ps), |e, wedged| {
+            e.synthetic_stats(load, end_ps, wedged)
+        })
     }
 
     /// [`PointRunner::run_point`] behind `catch_unwind`: a panicking
@@ -369,13 +371,12 @@ impl<'a> PointRunner<'a> {
         // result is fully formed — nothing here can influence it.
         if let Some(t0) = obs_t0 {
             let wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
-            let events = crate::obs::take_run_events();
             match &result {
-                Ok(RunOutput { stats, .. }) => crate::obs::point_run(
+                Ok(RunOutput { stats, events, .. }) => crate::obs::point_run(
                     idx,
                     load,
                     wall_ms,
-                    events,
+                    *events,
                     stats.throughput,
                     stats.deadlocked,
                     stats.exhausted,

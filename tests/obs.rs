@@ -270,6 +270,36 @@ fn progress_counters_account_budget_exhaustion() {
     );
 }
 
+/// The progress layer's engine-event total is the count each run's
+/// output carries: a traced sweep with no retries processes exactly the
+/// events its points scheduled, serial and sharded.
+#[test]
+fn events_processed_equals_traced_points_events_scheduled() {
+    let _g = obs_guard();
+    let (net, pattern, loads, duration, warmup) = fixture();
+    let policy = RoutePolicy::new(&net, Algorithm::Minimal);
+    for shards in [1, 2] {
+        obs::reset_progress();
+        obs::enable();
+        let cfg = SimConfig {
+            shards,
+            ..SimConfig::default()
+        };
+        let trace = TraceConfig::default();
+        let (outcome, traces) = par_load_sweep_traced_collect(
+            &net, &policy, &pattern, &loads, duration, warmup, cfg, trace, 2,
+        );
+        let processed = obs::snapshot().events_processed;
+        obs::disable();
+        assert_eq!(traces.len(), outcome.points.len(), "every point ran");
+        let scheduled: u64 = traces
+            .iter()
+            .map(|t| t.trace.counters.events_scheduled)
+            .sum();
+        assert_eq!(processed, scheduled, "{shards} shard(s)");
+    }
+}
+
 struct SnapshotSource;
 
 impl StatusSource for SnapshotSource {
